@@ -58,19 +58,42 @@ class AmplitudeState:
 
 @dataclass(frozen=True)
 class TDTransform:
-    """Unitary S with beta_td = S beta_fock; row 1 is |+>, rows 2..N ladder."""
+    """Unitary S with beta_td = S beta_fock; row 1 is |+>, rows 2..N ladder.
 
-    S: np.ndarray
+    S is a Helmert matrix with the phase e^{-i k0.r_j} on column j, so it
+    is held as the N timing phases and applied in O(N) per vector by a
+    prefix sum; the dense ``S`` is built only on request.
+    """
+
+    phases: np.ndarray
 
     def __post_init__(self):
-        S = np.asarray(self.S, dtype=complex)
-        if S.ndim != 2 or S.shape[0] != S.shape[1]:
-            raise ValueError("S must be square")
-        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "phases",
+                           np.asarray(self.phases, dtype=complex).reshape(-1))
 
     @property
     def n(self) -> int:
-        return self.S.shape[0]
+        return self.phases.shape[0]
+
+    @property
+    def S(self) -> np.ndarray:
+        """Dense N x N matrix, rebuilt on each access; the verification oracle."""
+        return ladder_weights(self.n) * np.conj(self.phases)[None, :]
+
+    def apply(self, x) -> np.ndarray:
+        """``x @ S.T`` for a length-N vector or a T x N block, O(N) per row.
+
+        With x' = x e^{-i k0.r}: y_1 = sum(x')/sqrt(N) and, for m >= 2,
+        y_m = (x'_1 + ... + x'_{m-1} - (m-1) x'_m) / sqrt(m(m-1)).
+        """
+        y = x * np.conj(self.phases)
+        prefix = np.cumsum(y, axis=-1)
+        m = np.arange(2, self.n + 1)
+        y[..., 1:] *= -(m - 1.0)
+        y[..., 1:] += prefix[..., :-1]
+        y[..., 1:] /= np.sqrt(m * (m - 1.0))
+        y[..., 0] = prefix[..., -1] / np.sqrt(self.n)
+        return y
 
 
 def timing_phases(ensemble: Ensemble) -> np.ndarray:
@@ -138,10 +161,8 @@ def section_state(ensemble: Ensemble, m: int) -> AmplitudeState:
 
 
 def build_transform(ensemble: Ensemble) -> TDTransform:
-    """Assemble the unitary S from the conjugated TD state coefficients."""
-    W = ladder_weights(ensemble.n)
-    S = W * np.conj(timing_phases(ensemble))[None, :]
-    return TDTransform(S)
+    """The unitary S of the ensemble, held as its timing phases."""
+    return TDTransform(timing_phases(ensemble))
 
 
 def _check_dim(transform: TDTransform, state: AmplitudeState):
@@ -156,7 +177,7 @@ def to_td(transform: TDTransform, state: AmplitudeState) -> AmplitudeState:
     _check_dim(transform, state)
     if state.basis != FOCK:
         raise ValueError(f"to_td expects a fock-basis state, got {state.basis!r}")
-    return AmplitudeState(transform.S @ state.amplitudes, TD)
+    return AmplitudeState(transform.apply(state.amplitudes), TD)
 
 
 def to_fock(transform: TDTransform, state: AmplitudeState) -> AmplitudeState:

@@ -25,7 +25,7 @@ import numpy as np
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
 from .dynamics import Trajectory, eigen_solve, record_indices, rk4_propagate
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
-from .kernels import GeneratorMatrix, build_generator, transform_generator
+from .kernels import GeneratorMatrix, build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
 
 __all__ = [
@@ -140,48 +140,20 @@ def _parse_choice(name, allowed):
     return conv
 
 
-def _parse_positive_float(name):
+def _parse_number(name, cast=float, nonneg=False, optional=False):
+    kind = "a number" if cast is float else "an integer"
+    sign = "nonnegative" if nonneg else "positive"
+
     def conv(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"{name} must be a number, got {text!r}") from None
-        if not value > 0 or not math.isfinite(value):
-            raise ConfigError(f"{name} must be positive, got {text!r}")
-        return value
-    return conv
-
-
-def _parse_nonneg_float(name):
-    def conv(text):
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigError(f"{name} must be a number, got {text!r}") from None
-        if value < 0 or not math.isfinite(value):
-            raise ConfigError(f"{name} must be nonnegative, got {text!r}")
-        return value
-    return conv
-
-
-def _parse_positive_int(name):
-    def conv(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigError(f"{name} must be an integer, got {text!r}") from None
-        if value < 1:
-            raise ConfigError(f"{name} must be positive, got {text!r}")
-        return value
-    return conv
-
-
-def _parse_optional_int(name):
-    inner = _parse_positive_int(name)
-    def conv(text):
-        if text in ("", "none", "None"):
+        if optional and text in ("", "none", "None"):
             return None
-        return inner(text)
+        try:
+            value = cast(text)
+        except ValueError:
+            raise ConfigError(f"{name} must be {kind}, got {text!r}") from None
+        if not (value >= 0 if nonneg else value > 0) or value == math.inf:
+            raise ConfigError(f"{name} must be {sign}, got {text!r}")
+        return value
     return conv
 
 
@@ -203,7 +175,7 @@ def _parse_init(text):
         return text
     for prefix in ("ladder:", "section:"):
         if text.startswith(prefix):
-            _parse_positive_int("init index")(text[len(prefix):])
+            _parse_number("init index", int)(text[len(prefix):])
             return text
     raise ConfigError(
         f"init must be 'plus', 'ladder:m' or 'section:m', got {text!r}"
@@ -224,28 +196,28 @@ def _parse_tracked(text):
         elif token in ("minus", "-"):
             canonical.append("2")
         else:
-            idx = _parse_positive_int("tracked index")(token)
+            idx = _parse_number("tracked index", int)(token)
             canonical.append("plus" if idx == 1 else str(idx))
     return ",".join(canonical)
 
 
 _CONVERTERS = {
     "geometry": _parse_choice("geometry", {"line", "sphere"}),
-    "n": _parse_positive_int("n"),
-    "radius": _parse_positive_float("radius"),
-    "spacing": _parse_positive_float("spacing"),
-    "target_count": _parse_optional_int("target_count"),
+    "n": _parse_number("n", int),
+    "radius": _parse_number("radius"),
+    "spacing": _parse_number("spacing"),
+    "target_count": _parse_number("target_count", int, optional=True),
     "k0_vec": _parse_k0_vec,
-    "sections": _parse_optional_int("sections"),
+    "sections": _parse_number("sections", int, optional=True),
     "section_axis": _parse_choice("section_axis", {"k0", "x", "y", "z"}),
     "kernel": _parse_choice("kernel", {"sine", "exp"}),
     "init": _parse_init,
     "solver": _parse_choice("solver", {"auto", "rk4", "eigen"}),
-    "dt": _parse_positive_float("dt"),
-    "t_max": _parse_nonneg_float("t_max"),
-    "stride": _parse_positive_int("stride"),
+    "dt": _parse_number("dt"),
+    "t_max": _parse_number("t_max", nonneg=True),
+    "stride": _parse_number("stride", int),
     "tracked": _parse_tracked,
-    "gamma": _parse_positive_float("gamma"),
+    "gamma": _parse_number("gamma"),
     "output": str,
 }
 
@@ -275,6 +247,10 @@ def read_config_file(path) -> dict:
 
 
 def _validate_config(config: RunConfig) -> RunConfig:
+    steps = config.t_max / config.dt
+    if not math.isclose(steps, round(steps), rel_tol=1e-9):
+        raise ConfigError(f"t_max = {config.t_max!r} is not an integer multiple "
+                          f"of dt = {config.dt!r}")
     if config.init.startswith("section:"):
         m = int(config.init.split(":", 1)[1])
         if config.sections is None:
@@ -411,8 +387,8 @@ def simulate(config: RunConfig) -> RunResult:
     td_traj = None
     columns: list[tuple[str, ObservableSeries]] = []
     if tracked:
-        S = build_transform(ensemble)
-        td_traj = Trajectory(times=traj.times, amplitudes=traj.amplitudes @ S.S.T,
+        td_amp = build_transform(ensemble).apply(traj.amplitudes)
+        td_traj = Trajectory(times=traj.times, amplitudes=td_amp,
                              basis=TD, kernel=config.kernel, solver=traj.solver,
                              dt=traj.dt)
         pops = populations(td_traj, tracked)
@@ -435,27 +411,24 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_RUN_KEYS = ["kernel", "init", "solver", "dt", "t_max", "stride", "tracked", "gamma"]
+
+
 def _echo_items(config: RunConfig, keys=None) -> list[tuple[str, str]]:
-    geometry_keys = ["geometry"]
-    geometry_keys += ["n"] if config.geometry == "line" else ["radius", "target_count"]
-    geometry_keys += ["spacing", "k0_vec"]
-    if config.sections is not None:
-        geometry_keys += ["sections", "section_axis"]
-    keys = keys or geometry_keys + ["kernel", "init", "solver", "dt", "t_max",
-                                    "stride", "tracked", "gamma"]
+    """Header items: the geometry keys, then ``keys`` (default: sections and run keys)."""
+    shape = ["n"] if config.geometry == "line" else ["radius", "target_count"]
+    if keys is None:
+        sections = [] if config.sections is None else ["sections", "section_axis"]
+        keys = sections + _RUN_KEYS
     items = []
-    for key in keys:
+    for key in ["geometry"] + shape + ["spacing", "k0_vec"] + keys:
         value = getattr(config, key)
         if value is None:
             continue
         if key == "k0_vec":
             text = ",".join(_fmt(v) for v in value)
-        elif isinstance(value, bool):
-            text = str(value)
-        elif isinstance(value, float):
-            text = _fmt(value)
         else:
-            text = str(value)
+            text = _fmt(value) if isinstance(value, float) else str(value)
         items.append((key, text))
     return items
 
@@ -481,21 +454,21 @@ def run(config: RunConfig, out_path=None) -> Path:
 
 
 def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
-    """Sorted (by real, then imaginary part) eigenvalues of the TD generator."""
+    """Sorted (by real, then imaginary part) eigenvalues of the TD generator.
+
+    S M S^dagger is unitarily similar to the Fock generator M, so the
+    eigenvalues are taken from M directly.
+    """
     ensemble = _build_ensemble(config)
     generator = build_generator(ensemble, config.kernel, config.gamma)
-    td = transform_generator(build_transform(ensemble), generator)
-    eig = np.linalg.eigvals(td.matrix)
+    eig = np.linalg.eigvals(generator.matrix)
     return eig[np.lexsort((eig.imag, eig.real))]
 
 
 def spectrum(config: RunConfig, out_path=None) -> Path:
     """Write the TD-generator eigenvalue table as CSV."""
     eig = spectrum_eigenvalues(config)
-    geometry_keys = ["geometry"]
-    geometry_keys += ["n"] if config.geometry == "line" else ["radius", "target_count"]
-    keys = geometry_keys + ["spacing", "k0_vec", "kernel", "gamma"]
-    lines = [f"# {k} = {v}" for k, v in _echo_items(config, keys)]
+    lines = [f"# {k} = {v}" for k, v in _echo_items(config, ["kernel", "gamma"])]
     lines.append("index,real,imag")
     for i, value in enumerate(eig):
         lines.append(f"{i},{_fmt(value.real)},{_fmt(value.imag)}")

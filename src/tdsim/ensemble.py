@@ -8,6 +8,7 @@ and Kvec[j, i] = k0_vec . (r_j - r_i) (timing/propagation phase).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +24,8 @@ __all__ = [
 class Ensemble:
     """Immutable set of atom positions plus the driving wavevector.
 
-    Pair matrices are computed once at construction:
-    ``K`` is symmetric with zero diagonal, ``Kvec`` antisymmetric.
+    ``K`` (symmetric, zero diagonal) is computed at construction; the
+    antisymmetric ``Kvec`` only on first access.
     ``sections`` (optional) labels each atom with a contiguous-slab
     section index 0..m-1; see :func:`partition_sections`.
     """
@@ -33,7 +34,6 @@ class Ensemble:
     k0_vec: np.ndarray
     sections: np.ndarray | None = None
     K: np.ndarray = field(init=False, repr=False, compare=False)
-    Kvec: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -50,17 +50,19 @@ class Ensemble:
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "k0_vec", kv)
 
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt(np.einsum("jik,jik->ji", diff, diff))
         n = pos.shape[0]
-        if n > 1:
-            off = dist[~np.eye(n, dtype=bool)]
-            if off.min() <= 0.0:
-                raise ValueError("atom positions must be pairwise distinct")
-        object.__setattr__(self, "K", k0 * dist)
-        # projection differences, exact antisymmetry by construction
-        proj = pos @ kv
-        object.__setattr__(self, "Kvec", proj[:, None] - proj[None, :])
+        # squared distances one axis at a time, so no N x N x 3 array
+        dist = np.zeros((n, n))
+        for col in pos.T:
+            step = np.subtract.outer(col, col)
+            dist += np.square(step, out=step)
+        np.sqrt(dist, out=dist)
+        np.fill_diagonal(dist, np.inf)
+        if dist.min() <= 0.0:
+            raise ValueError("atom positions must be pairwise distinct")
+        np.fill_diagonal(dist, 0.0)
+        dist *= k0
+        object.__setattr__(self, "K", dist)
 
         if self.sections is not None:
             sec = np.asarray(self.sections, dtype=int)
@@ -76,6 +78,12 @@ class Ensemble:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def Kvec(self) -> np.ndarray:
+        proj = self.positions @ self.k0_vec
+        # projection differences, exact antisymmetry by construction
+        return proj[:, None] - proj[None, :]
 
     @property
     def k0(self) -> float:

@@ -79,27 +79,21 @@ def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
     return M
 
 
-def build_sine_generator(ensemble: Ensemble, gamma: float = 1.0) -> GeneratorMatrix:
-    """Sine-kernel Fock generator (pure real decay couplings, no Lamb shift)."""
+def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:
+    """Fock generator of the ``sine`` or ``exp`` kernel."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return GeneratorMatrix(_kernel_matrix(ensemble, SINE, gamma), FOCK, SINE, gamma)
+    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK, kernel, gamma)
+
+
+def build_sine_generator(ensemble: Ensemble, gamma: float = 1.0) -> GeneratorMatrix:
+    """Sine-kernel Fock generator (pure real decay couplings, no Lamb shift)."""
+    return build_generator(ensemble, SINE, gamma)
 
 
 def build_exp_generator(ensemble: Ensemble, gamma: float = 1.0) -> GeneratorMatrix:
     """Exponential-kernel Fock generator including collective Lamb shifts."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return GeneratorMatrix(_kernel_matrix(ensemble, EXP, gamma), FOCK, EXP, gamma)
-
-
-def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:
-    """Dispatch on the kernel tag."""
-    if kernel == SINE:
-        return build_sine_generator(ensemble, gamma)
-    if kernel == EXP:
-        return build_exp_generator(ensemble, gamma)
-    raise ValueError(f"unknown kernel tag {kernel!r}")
+    return build_generator(ensemble, EXP, gamma)
 
 
 def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> GeneratorMatrix:
@@ -110,9 +104,10 @@ def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> G
         raise ValueError(
             f"dimension mismatch: transform is {transform.n}, generator is {generator.n}"
         )
-    S = transform.S
-    M_td = S @ generator.matrix @ S.conj().T
-    return GeneratorMatrix(M_td, TD, generator.kernel, generator.gamma)
+    # apply(X) = X S^T: apply(M^T) = (S M)^T, and S M S^dagger = conj(apply(conj(S M)))
+    SMt = transform.apply(generator.matrix.T)
+    M_td = transform.apply(np.conj(SMt, out=SMt).T)
+    return GeneratorMatrix(np.conj(M_td, out=M_td), TD, generator.kernel, generator.gamma)
 
 
 def assemble_td_direct(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TD, AmplitudeState, ladder_weights, timing_phases
+from .basis import TD, AmplitudeState, ladder_state, plus_state, timing_phases
 from .dynamics import Trajectory
 from .ensemble import Ensemble
 
@@ -122,11 +122,10 @@ def static_overlap(ensemble: Ensemble, source: str, n_target: int) -> float:
     v = np.zeros(n, dtype=complex)
     v[: n_target - 1] = phases[: n_target - 1] / n_target
     v[n_target - 1] = -phases[n_target - 1]
-    W = ladder_weights(n)
     if source == "plus":
-        bra = W[0] * phases
+        bra = plus_state(ensemble).amplitudes
     elif source == "minus":
-        bra = W[1] * phases
+        bra = ladder_state(ensemble, 2).amplitudes
     else:
         raise ValueError(f"source must be 'plus' or 'minus', got {source!r}")
     return float(abs(np.vdot(bra, v)))

@@ -281,6 +281,14 @@ class TestMainEntry:
         assert code == 0
         assert out.read_text().count("\n") >= 3
 
+    def test_t_max_not_a_multiple_of_dt_is_rejected(self, tmp_path, capsys):
+        code = main(["run", "--geometry", "line", "--n", "3", "--t-max", "1.0",
+                     "--dt", "0.3", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "1.0" in err and "0.3" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_preset_run_writes_named_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code = main(["run", "--preset", "fig2", "--t-max", "0.1"])

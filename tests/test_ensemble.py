@@ -57,6 +57,14 @@ class TestPairGeometry:
         assert np.array_equal(e.K, expect_K)
         assert np.array_equal(e.Kvec, expect_Kvec)
 
+    def test_pair_values_match_a_loop_reference(self):
+        e = build_sphere_lattice(2.0, 0.8, k0_vec=(0.3, -1.2, 0.4))
+        k0 = np.linalg.norm(e.k0_vec)
+        for j, rj in enumerate(e.positions):
+            for i, ri in enumerate(e.positions):
+                assert abs(e.K[j, i] - k0 * np.linalg.norm(rj - ri)) <= 1e-12 * max(1.0, e.K[j, i])
+                assert abs(e.Kvec[j, i] - e.k0_vec @ (rj - ri)) <= 1e-12 * max(1.0, e.K[j, i])
+
     def test_k0_scale_enters_K(self):
         e = build_line(3, spacing=1.0, k0_vec=(2.0, 0, 0))
         assert e.k0 == 2.0
