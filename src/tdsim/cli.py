@@ -25,7 +25,7 @@ import numpy as np
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
 from .dynamics import Trajectory, eigen_solve, record_indices, rk4_propagate
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
-from .kernels import GeneratorMatrix, build_generator
+from .kernels import build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
 
 __all__ = [
@@ -321,10 +321,8 @@ def parse_config(args=None, file=None) -> list[tuple[str, RunConfig]]:
 class RunResult:
     config: RunConfig  # fully resolved (solver concrete)
     ensemble: Ensemble
-    generator: GeneratorMatrix
     trajectory: Trajectory  # fock basis
     td_trajectory: Trajectory | None
-    init_state: AmplitudeState
     columns: list
 
 
@@ -372,6 +370,7 @@ def simulate(config: RunConfig) -> RunResult:
     """Build -> propagate -> observe for one resolved run config."""
     config = _validate_config(config)
     ensemble = _build_ensemble(config)
+    tracked = _tracked_indices(config, ensemble.n)
     init = _build_init(config, ensemble)
     generator = build_generator(ensemble, config.kernel, config.gamma)
     solver = config.solver
@@ -383,7 +382,6 @@ def simulate(config: RunConfig) -> RunResult:
     else:
         times = record_indices(n_steps, config.stride) * config.dt
         traj = eigen_solve(generator, init, times)
-    tracked = _tracked_indices(config, ensemble.n)
     td_traj = None
     columns: list[tuple[str, ObservableSeries]] = []
     if tracked:
@@ -399,8 +397,7 @@ def simulate(config: RunConfig) -> RunResult:
         columns.append(("pop_init", state_population(traj, init, "population:init")))
     columns.append(("total", total_excitation(traj)))
     return RunResult(config=replace(config, solver=solver), ensemble=ensemble,
-                     generator=generator, trajectory=traj, td_trajectory=td_traj,
-                     init_state=init, columns=columns)
+                     trajectory=traj, td_trajectory=td_traj, columns=columns)
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flags_from_args(args) -> dict:
-    pairs = {}
-    for key in _CONVERTERS:
-        value = getattr(args, key, None)
-        if value is not None:
-            pairs[key] = _convert(key, value)
-    return pairs
-
-
-def _default_out(preset, suffix, fallback, override):
-    if override:
+def _default_out(preset, suffix, fallback, output):
+    if output:
         if suffix:
-            stem = str(override)
+            stem = str(output)
             stem = stem[:-4] if stem.endswith(".csv") else stem
             return f"{stem}_{suffix}.csv"
-        return override
+        return output
     stem = preset or fallback
     return f"{stem}_{suffix}.csv" if suffix else f"{stem}.csv"
 
@@ -544,17 +532,16 @@ def main(argv=None) -> int:
         print(_preset_listing())
         return 0
     try:
-        flags = _flags_from_args(args)
-        output = flags.pop("output", None)
-        file_pairs = read_config_file(args.config) if args.config else {}
-        configs = resolve_configs(args.preset, file_pairs, flags)
+        flags = {key: value for key, value in vars(args).items()
+                 if key in _CONVERTERS and value is not None}
+        configs = parse_config({**flags, "preset": args.preset}, args.config)
         for suffix, config in configs:
             if args.command == "run":
-                out = _default_out(args.preset, suffix, "run", output)
+                out = _default_out(args.preset, suffix, "run", config.output)
                 path = run(config, out)
             else:
                 stem = f"{args.preset}_spectrum" if args.preset else None
-                out = _default_out(stem, suffix, "spectrum", output)
+                out = _default_out(stem, suffix, "spectrum", config.output)
                 path = spectrum(config, out)
             print(path)
         return 0

@@ -7,7 +7,7 @@ and Kvec[j, i] = k0_vec . (r_j - r_i) (timing/propagation phase).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,8 +24,9 @@ __all__ = [
 class Ensemble:
     """Immutable set of atom positions plus the driving wavevector.
 
-    ``K`` (symmetric, zero diagonal) is computed at construction; the
-    antisymmetric ``Kvec`` only on first access.
+    The pair matrices ``K`` (symmetric, zero diagonal) and ``Kvec``
+    (antisymmetric) are built on first access, so an ensemble that never
+    reaches a generator costs no N x N memory.
     ``sections`` (optional) labels each atom with a contiguous-slab
     section index 0..m-1; see :func:`partition_sections`.
     """
@@ -33,7 +34,6 @@ class Ensemble:
     positions: np.ndarray
     k0_vec: np.ndarray
     sections: np.ndarray | None = None
-    K: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -44,25 +44,16 @@ class Ensemble:
             raise ValueError("ensemble needs at least one atom")
         if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(kv)):
             raise ValueError("positions and k0_vec must be finite")
-        k0 = float(np.linalg.norm(kv))
-        if k0 <= 0.0:
+        if np.linalg.norm(kv) <= 0.0:
             raise ValueError("k0_vec must have positive norm")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "k0_vec", kv)
 
         n = pos.shape[0]
-        # squared distances one axis at a time, so no N x N x 3 array
-        dist = np.zeros((n, n))
-        for col in pos.T:
-            step = np.subtract.outer(col, col)
-            dist += np.square(step, out=step)
-        np.sqrt(dist, out=dist)
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= 0.0:
+        # coincident atoms end up next to each other once the rows are sorted
+        ranked = pos[np.lexsort(pos.T)]
+        if np.any(np.all(ranked[1:] == ranked[:-1], axis=1)):
             raise ValueError("atom positions must be pairwise distinct")
-        np.fill_diagonal(dist, 0.0)
-        dist *= k0
-        object.__setattr__(self, "K", dist)
 
         if self.sections is not None:
             sec = np.asarray(self.sections, dtype=int)
@@ -78,6 +69,17 @@ class Ensemble:
     @property
     def n(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        # squared distances one axis at a time, so no N x N x 3 array
+        dist = np.zeros((self.n, self.n))
+        for col in self.positions.T:
+            step = np.subtract.outer(col, col)
+            dist += np.square(step, out=step)
+        np.sqrt(dist, out=dist)
+        dist *= self.k0
+        return dist
 
     @cached_property
     def Kvec(self) -> np.ndarray:

@@ -34,6 +34,15 @@ def read_rows(path):
     return meta, header, np.array(rows)
 
 
+@pytest.fixture
+def no_generator(monkeypatch):
+    """Make any generator build in ``simulate`` fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator built before the tracked check")
+
+    monkeypatch.setattr("tdsim.cli.build_generator", refuse)
+
+
 class TestParseConfig:
     def test_preset_fig1a(self):
         [(suffix, config)] = parse_config({"preset": "fig1a"})
@@ -204,6 +213,11 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="out of range"):
             simulate(config)
 
+    def test_tracked_out_of_range_fails_before_the_generator(self, no_generator):
+        [(_, config)] = parse_config({**QUICK, "tracked": "5"})
+        with pytest.raises(ConfigError, match="tracked index 5 out of range 1..4"):
+            simulate(config)
+
     def test_render_includes_resolved_solver(self):
         [(_, config)] = parse_config(dict(QUICK))
         assert config.solver == "auto"
@@ -288,6 +302,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "1.0" in err and "0.3" in err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_config_file_output_names_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("geometry = line\nn = 3\nt_max = 0.5\noutput = mine.csv\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert (tmp_path / "mine.csv").exists()
+        assert not (tmp_path / "run.csv").exists()
+        assert main(["run", "--config", str(cfg), "--output", "flag.csv"]) == 0
+        assert (tmp_path / "flag.csv").read_text() == (tmp_path / "mine.csv").read_text()
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_bad_tracked_index_exits_before_the_generator(self, tmp_path, monkeypatch,
+                                                          capsys, no_generator):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--preset", "fig4", "--tracked", "1001"]) == 2
+        assert "tracked index 1001 out of range 1..1000" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_preset_run_writes_named_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

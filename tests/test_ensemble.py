@@ -71,8 +71,20 @@ class TestPairGeometry:
         assert e.K[0, 1] == 2.0
 
     def test_duplicate_positions_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            Ensemble(positions=np.zeros((2, 3)), k0_vec=np.array([1.0, 0, 0]))
+        for positions in (
+            np.zeros((2, 3)),
+            # the coincident pair is not adjacent in input order
+            [[1.0, 2.0, 3.0], [0.0, 5.0, 0.0], [4.0, 0.0, 1.0], [1.0, 2.0, 3.0]],
+            # -0.0 and 0.0 are the same coordinate
+            [[0.0, 1.0, 0.0], [2.0, 0.0, 0.0], [-0.0, 1.0, -0.0]],
+        ):
+            with pytest.raises(ValueError, match="distinct"):
+                Ensemble(positions=np.asarray(positions), k0_vec=np.array([1.0, 0, 0]))
+
+    def test_partition_keeps_the_pair_matrix(self):
+        e = build_sphere_lattice(3.0, 1.0, k0_vec=(0.3, -1.2, 0.4), target_count=100)
+        parted = partition_sections(e, 3, axis=(0.0, 0.0, 1.0))
+        assert parted.K.tobytes() == e.K.tobytes()  # bitwise, not just to rounding
 
 
 class TestSphereLattice:
