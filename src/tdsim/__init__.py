@@ -25,6 +25,7 @@ from .dynamics import (
     eigen_decompose,
     eigen_solve,
     oracle_expm,
+    propagate,
     rk4_propagate,
 )
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
@@ -42,7 +43,6 @@ from .observables import (
     fa_transfer,
     populations,
     state_population,
-    static_overlap,
     total_excitation,
 )
 
@@ -73,10 +73,10 @@ __all__ = [
     "partition_sections",
     "plus_state",
     "populations",
+    "propagate",
     "rk4_propagate",
     "section_state",
     "state_population",
-    "static_overlap",
     "to_fock",
     "to_td",
     "total_excitation",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
-from .dynamics import Trajectory, eigen_solve, record_indices, rk4_propagate
+from .dynamics import Trajectory, propagate
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
@@ -42,8 +42,6 @@ __all__ = [
 ]
 
 LAMBDA0 = 2.0 * math.pi  # resonant wavelength in units 1/k0
-
-EIGEN_SOLVER_MAX_N = 500
 
 
 class ConfigError(ValueError):
@@ -294,21 +292,10 @@ def resolve_configs(preset: str | None = None, file_pairs: dict | None = None,
 
 
 def parse_config(args=None, file=None) -> list[tuple[str, RunConfig]]:
-    """Resolve CLI-style overrides (mapping or key=value list) plus a file."""
-    if isinstance(args, dict):
-        flags = {k: _convert(k, v) for k, v in args.items() if k != "preset"}
-        preset = args.get("preset")
-    else:
-        flags = {}
-        preset = None
-        for item in args or []:
-            if "=" not in item:
-                raise ConfigError(f"expected key=value, got {item!r}")
-            key, value = (part.strip() for part in item.split("=", 1))
-            if key == "preset":
-                preset = value
-            else:
-                flags[key] = _convert(key, value)
+    """Resolve a mapping of config keys (plus an optional ``preset``) over a config file."""
+    args = dict(args or {})
+    preset = args.pop("preset", None)
+    flags = {k: _convert(k, v) for k, v in args.items()}
     file_pairs = read_config_file(file) if file else {}
     return resolve_configs(preset, file_pairs, flags)
 
@@ -373,22 +360,12 @@ def simulate(config: RunConfig) -> RunResult:
     tracked = _tracked_indices(config, ensemble.n)
     init = _build_init(config, ensemble)
     generator = build_generator(ensemble, config.kernel, config.gamma)
-    solver = config.solver
-    if solver == "auto":
-        solver = "eigen" if ensemble.n <= EIGEN_SOLVER_MAX_N else "rk4"
-    n_steps = int(round(config.t_max / config.dt))
-    if solver == "rk4":
-        traj = rk4_propagate(generator, init, config.dt, config.t_max, config.stride)
-    else:
-        times = record_indices(n_steps, config.stride) * config.dt
-        traj = eigen_solve(generator, init, times)
+    traj = propagate(generator, init, config.dt, config.t_max, config.stride, config.solver)
     td_traj = None
     columns: list[tuple[str, ObservableSeries]] = []
     if tracked:
-        td_amp = build_transform(ensemble).apply(traj.amplitudes)
-        td_traj = Trajectory(times=traj.times, amplitudes=td_amp,
-                             basis=TD, kernel=config.kernel, solver=traj.solver,
-                             dt=traj.dt)
+        td_traj = replace(traj, amplitudes=build_transform(ensemble).apply(traj.amplitudes),
+                          basis=TD)
         pops = populations(td_traj, tracked)
         for idx in tracked:
             name = "pop_plus" if idx == 1 else f"pop_{idx}"
@@ -396,7 +373,7 @@ def simulate(config: RunConfig) -> RunResult:
     if config.init.startswith("section:"):
         columns.append(("pop_init", state_population(traj, init, "population:init")))
     columns.append(("total", total_excitation(traj)))
-    return RunResult(config=replace(config, solver=solver), ensemble=ensemble,
+    return RunResult(config=replace(config, solver=traj.solver), ensemble=ensemble,
                      trajectory=traj, td_trajectory=td_traj, columns=columns)
 
 
@@ -545,7 +522,7 @@ def main(argv=None) -> int:
                 path = spectrum(config, out)
             print(path)
         return 0
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:  # bad input, unreadable config, unwritable output
         print(f"tdsim: {err}", file=sys.stderr)
         return 2
     except (ValueError, OverflowError, RuntimeError) as err:

@@ -1,6 +1,8 @@
 """Propagators for beta_dot = M beta with a time-independent generator.
 
-Three independent routes are provided and must agree:
+:func:`propagate` is a run's one entry point: it builds the output grid and
+holds the ``auto`` rule (eigen for N <= ``EIGEN_SOLVER_MAX_N``, RK4 above).
+It dispatches to two of three independent routes, which must agree:
 
 * :func:`rk4_propagate` -- classical fixed-step Runge-Kutta 4, the
   reference method (default dt = 0.01 in units of 1/gamma);
@@ -23,6 +25,7 @@ from .kernels import GeneratorMatrix
 __all__ = [
     "Trajectory",
     "EigenSolution",
+    "propagate",
     "DegenerateSpectrumError",
     "rk4_propagate",
     "eigen_decompose",
@@ -32,6 +35,7 @@ __all__ = [
 ]
 
 EIGEN_COND_LIMIT = 1e12
+EIGEN_SOLVER_MAX_N = 500  # solver "auto": eigen up to this N, rk4 above
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -45,9 +49,7 @@ class Trajectory:
     times: np.ndarray
     amplitudes: np.ndarray
     basis: str
-    kernel: str | None = None
     solver: str = "unknown"
-    dt: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -81,11 +83,9 @@ class EigenSolution:
 def _resolve(generator, state0):
     """Accept GeneratorMatrix/AmplitudeState or raw arrays; check tags."""
     if isinstance(generator, GeneratorMatrix):
-        matrix = generator.matrix
-        g_basis, kernel = generator.basis, generator.kernel
+        matrix, g_basis = generator.matrix, generator.basis
     else:
-        matrix = np.asarray(generator, dtype=complex)
-        g_basis, kernel = None, None
+        matrix, g_basis = np.asarray(generator, dtype=complex), None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("generator must be a square matrix")
     if isinstance(state0, AmplitudeState):
@@ -105,35 +105,50 @@ def _resolve(generator, state0):
     if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(beta0))):
         raise ValueError("generator and initial state must be finite")
     basis = g_basis or s_basis or FOCK
-    return matrix, beta0, basis, kernel
+    return matrix, beta0, basis
 
 
 def record_indices(n_steps: int, stride: int = 1) -> np.ndarray:
     """Step indices kept in a trajectory: every stride-th plus the last."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx, dtype=int)
+    return np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
+
+
+def _step_grid(dt: float, t_max: float, stride: int) -> np.ndarray:
+    """Recorded step indices of a ``dt`` grid from 0 to ``t_max``."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if t_max < 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max!r}")
+    return record_indices(int(round(t_max / dt)), stride)
+
+
+def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
+              stride: int = 1, solver: str = "auto") -> Trajectory:
+    """beta(t) every ``stride`` steps of ``dt`` up to ``t_max`` by ``solver``
+    (``auto``, ``rk4`` or ``eigen``); the trajectory's ``solver`` names the method."""
+    if solver == "auto":
+        n = np.shape(getattr(generator, "matrix", generator))[0]
+        solver = "eigen" if n <= EIGEN_SOLVER_MAX_N else "rk4"
+    if solver == "rk4":
+        return rk4_propagate(generator, state0, dt, t_max, stride)
+    if solver == "eigen":
+        return eigen_solve(generator, state0, _step_grid(dt, t_max, stride) * dt)
+    raise ValueError(f"solver must be 'auto', 'rk4' or 'eigen', got {solver!r}")
 
 
 def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
                   stride: int = 1) -> Trajectory:
     """Fixed-step RK4 integration, snapshots every ``stride`` steps."""
-    matrix, beta0, basis, kernel = _resolve(generator, state0)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max!r}")
-    n_steps = int(round(t_max / dt))
-    keep = record_indices(n_steps, stride)
+    matrix, beta0, basis = _resolve(generator, state0)
+    keep = _step_grid(dt, t_max, stride)
     keep_set = set(keep.tolist())
     out = np.empty((keep.size, beta0.size), dtype=complex)
     out[0] = beta0
     beta = beta0.copy()
     row = 1
-    for step in range(1, n_steps + 1):
+    for step in range(1, int(keep[-1]) + 1):
         k1 = matrix @ beta
         k2 = matrix @ (beta + 0.5 * dt * k1)
         k3 = matrix @ (beta + 0.5 * dt * k2)
@@ -142,20 +157,19 @@ def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
         if step in keep_set:
             out[row] = beta
             row += 1
-    return Trajectory(times=keep * dt, amplitudes=out, basis=basis,
-                      kernel=kernel, solver="rk4", dt=dt)
+    return Trajectory(times=keep * dt, amplitudes=out, basis=basis, solver="rk4")
 
 
 def eigen_decompose(generator, state0) -> EigenSolution:
     """Eigendecomposition of the generator with coefficients V c = beta(0)."""
-    matrix, beta0, _, _ = _resolve(generator, state0)
+    matrix, beta0, _ = _resolve(generator, state0)
     lam, V = np.linalg.eig(matrix)
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > EIGEN_COND_LIMIT:
         raise DegenerateSpectrumError(
             f"eigenvector matrix condition number {cond:.3e} exceeds "
             f"{EIGEN_COND_LIMIT:.0e}; the spectrum is numerically degenerate, "
-            "use rk4_propagate instead"
+            "propagate with RK4 instead (set solver = rk4)"
         )
     c = np.linalg.solve(V, beta0)
     return EigenSolution(eigenvalues=lam, eigenvectors=V, coefficients=c)
@@ -163,7 +177,7 @@ def eigen_decompose(generator, state0) -> EigenSolution:
 
 def eigen_solve(generator, state0, times) -> Trajectory:
     """Exact-in-time solution beta(t) = V (c * e^{lambda t}) on a time grid."""
-    matrix, beta0, basis, kernel = _resolve(generator, state0)
+    matrix, beta0, basis = _resolve(generator, state0)
     t = np.asarray(times, dtype=float).reshape(-1)
     if t.size < 1 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
         raise ValueError("times must be strictly increasing and start at 0")
@@ -171,8 +185,7 @@ def eigen_solve(generator, state0, times) -> Trajectory:
     phases = np.exp(np.outer(sol.eigenvalues, t))
     amp = (sol.eigenvectors @ (sol.coefficients[:, None] * phases)).T
     amp[0] = beta0
-    return Trajectory(times=t, amplitudes=amp, basis=basis,
-                      kernel=kernel, solver="eigen", dt=None)
+    return Trajectory(times=t, amplitudes=amp, basis=basis, solver="eigen")
 
 
 def oracle_expm(generator, state0, t: float) -> AmplitudeState:
@@ -182,7 +195,7 @@ def oracle_expm(generator, state0, t: float) -> AmplitudeState:
     path shares no code with rk4_propagate or eigen_solve and exists to
     cross-check them.
     """
-    matrix, beta0, basis, _ = _resolve(generator, state0)
+    matrix, beta0, basis = _resolve(generator, state0)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
     A = matrix * t

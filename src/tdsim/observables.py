@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import TD, AmplitudeState, ladder_state, plus_state, timing_phases
+from .basis import TD, AmplitudeState
 from .dynamics import Trajectory
-from .ensemble import Ensemble
 
 __all__ = [
     "ObservableSeries",
@@ -23,7 +22,6 @@ __all__ = [
     "state_population",
     "total_excitation",
     "fa_transfer",
-    "static_overlap",
     "decay_time",
     "td_label",
 ]
@@ -105,30 +103,6 @@ def fa_transfer(traj: Trajectory, source: int, target: int) -> ObservableSeries:
         series.times, series.values,
         f"transfer:{td_label(source)}->{td_label(target)}"
     )
-
-
-def static_overlap(ensemble: Ensemble, source: str, n_target: int) -> float:
-    """Static coupling-probability estimate |<source|v>|.
-
-    The probe vector is v = sum_{j < n_target} e^{i k0.r_j}/n_target |j>
-    - e^{i k0.r_{n_target}} |n_target>; by convention the sum carries the
-    1/n_target factor while the single-atom term is unnormalized, so this
-    is a diagnostic magnitude rather than a bounded probability.
-    """
-    n = ensemble.n
-    if int(n_target) != n_target or not 2 <= n_target <= n:
-        raise ValueError(f"n_target must be in 2..{n}, got {n_target!r}")
-    phases = timing_phases(ensemble)
-    v = np.zeros(n, dtype=complex)
-    v[: n_target - 1] = phases[: n_target - 1] / n_target
-    v[n_target - 1] = -phases[n_target - 1]
-    if source == "plus":
-        bra = plus_state(ensemble).amplitudes
-    elif source == "minus":
-        bra = ladder_state(ensemble, 2).amplitudes
-    else:
-        raise ValueError(f"source must be 'plus' or 'minus', got {source!r}")
-    return float(abs(np.vdot(bra, v)))
 
 
 def decay_time(series: ObservableSeries, threshold: float) -> float:

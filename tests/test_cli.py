@@ -1,8 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from tdsim import Ensemble, TDTransform
 from tdsim.cli import (
     ConfigError,
     PRESETS,
@@ -43,6 +45,28 @@ def no_generator(monkeypatch):
     monkeypatch.setattr("tdsim.cli.build_generator", refuse)
 
 
+@pytest.fixture
+def no_oracles(monkeypatch):
+    """Make every verification oracle fail the test if anything calls it."""
+    import tdsim
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verification oracle was used on the run path")
+
+    oracles = (tdsim.basis.ladder_weights, tdsim.oracle_expm,
+               tdsim.assemble_td_direct, tdsim.transform_generator)
+    found = set()
+    for name, module in list(sys.modules.items()):
+        if name == "tdsim" or name.startswith("tdsim."):
+            for attr, value in list(vars(module).items()):
+                if any(value is oracle for oracle in oracles):
+                    monkeypatch.setattr(module, attr, refuse)
+                    found.add(id(value))
+    assert len(found) == len(oracles)
+    monkeypatch.setattr(TDTransform, "S", property(refuse))
+    monkeypatch.setattr(Ensemble, "Kvec", property(refuse))
+
+
 class TestParseConfig:
     def test_preset_fig1a(self):
         [(suffix, config)] = parse_config({"preset": "fig1a"})
@@ -59,14 +83,6 @@ class TestParseConfig:
         [(_, config)] = parse_config({"preset": "fig1a", "spacing": "6.2832"})
         assert config.spacing == 6.2832
         assert config.n == 100
-
-    def test_key_value_list_form(self):
-        [(_, config)] = parse_config(["preset=fig2", "kernel=exp", "t_max=2.0"])
-        assert config.kernel == "exp"
-        assert config.t_max == 2.0
-        assert config.target_count == 121
-        with pytest.raises(ConfigError, match="key=value"):
-            parse_config(["kernel"])
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -218,6 +234,17 @@ class TestRunPipeline:
         with pytest.raises(ConfigError, match="tracked index 5 out of range 1..4"):
             simulate(config)
 
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    @pytest.mark.parametrize("solver", ["rk4", "eigen"])
+    @pytest.mark.parametrize("init", ["ladder:2", "section:2"])
+    def test_run_path_uses_no_oracle(self, no_oracles, kernel, solver, init):
+        [(_, config)] = parse_config(
+            {"geometry": "sphere", "radius": "2.0", "sections": "2", "kernel": kernel,
+             "solver": solver, "init": init, "t_max": "0.5", "tracked": "all"})
+        result = simulate(config)
+        assert result.config.solver == solver
+        assert len(result.columns) == result.ensemble.n + 1 + (init == "section:2")
+
     def test_render_includes_resolved_solver(self):
         [(_, config)] = parse_config(dict(QUICK))
         assert config.solver == "auto"
@@ -255,6 +282,12 @@ class TestSpectrum:
                                       "kernel": "exp"})
         eig = spectrum_eigenvalues(config)
         assert np.abs(eig.imag).max() > 1e-3
+
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    def test_spectrum_uses_no_oracle(self, no_oracles, kernel):
+        [(_, config)] = parse_config({"geometry": "sphere", "radius": "2.0",
+                                      "kernel": kernel})
+        assert spectrum_eigenvalues(config).size == 33
 
 
 class TestMainEntry:
@@ -320,6 +353,27 @@ class TestMainEntry:
         assert main(["run", "--preset", "fig4", "--tracked", "1001"]) == 2
         assert "tracked index 1001 out of range 1..1000" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_unreadable_config_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tdsim: ") and err.count("\n") == 1
+        assert "missing.cfg" in err
+
+    def test_unwritable_output_is_a_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "x.csv"
+        code = main(["run", "--geometry", "line", "--n", "3", "--t-max", "0.5",
+                     "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tdsim: ") and err.count("\n") == 1
+        assert "x.csv" in err
+
+    def test_auto_solver_above_the_eigen_limit_echoes_rk4(self, tmp_path):
+        out = tmp_path / "big.csv"
+        assert main(["run", "--geometry", "line", "--n", "501", "--t-max", "0.02",
+                     "--output", str(out)]) == 0
+        assert "# solver = rk4\n" in out.read_text()
 
     def test_preset_run_writes_named_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -11,6 +11,7 @@ from tdsim import (
     eigen_solve,
     oracle_expm,
     plus_state,
+    propagate,
     rk4_propagate,
     to_td,
     transform_generator,
@@ -190,6 +191,42 @@ class TestCrossSolverProperties:
         traj_td = rk4_propagate(transform_generator(S, M), to_td(S, beta0),
                                 dt=0.01, t_max=3.0, stride=50)
         assert np.abs(td_from_fock - traj_td.amplitudes).max() < 1e-8
+
+
+class TestPropagate:
+    DT, T_MAX, STRIDE = 0.01, 0.05, 2
+    GRID = np.array([0, 2, 4, 5]) * 0.01  # every 2nd step plus the last
+
+    def direct(self, method, M, beta0):
+        if method == "rk4":
+            return rk4_propagate(M, beta0, self.DT, self.T_MAX, self.STRIDE)
+        return eigen_solve(M, beta0, self.GRID)
+
+    @pytest.mark.parametrize("n,solver,method", [
+        (500, "auto", "eigen"),
+        (501, "auto", "rk4"),
+        (500, "rk4", "rk4"),
+        (501, "eigen", "eigen"),
+    ])
+    def test_matches_the_direct_call(self, n, solver, method):
+        e = build_line(n)
+        M, beta0 = build_sine_generator(e), plus_state(e)
+        traj = propagate(M, beta0, self.DT, self.T_MAX, self.STRIDE, solver)
+        ref = self.direct(method, M, beta0)
+        assert traj.solver == method
+        np.testing.assert_array_equal(traj.times, self.GRID)
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.amplitudes, ref.amplitudes)
+
+    def test_rejects_an_unknown_solver_and_a_bad_grid(self):
+        M, beta0 = np.array([[-1.0]]), np.array([1.0])
+        with pytest.raises(ValueError, match="solver"):
+            propagate(M, beta0, solver="expm")
+        for solver in ("rk4", "eigen"):
+            with pytest.raises(ValueError, match="dt"):
+                propagate(M, beta0, dt=0.0, solver=solver)
+            with pytest.raises(ValueError, match="t_max"):
+                propagate(M, beta0, t_max=-1.0, solver=solver)
 
 
 class TestTrajectoryType:

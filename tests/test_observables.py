@@ -17,7 +17,6 @@ from tdsim import (
     populations,
     rk4_propagate,
     state_population,
-    static_overlap,
     to_td,
     total_excitation,
     transform_generator,
@@ -154,39 +153,6 @@ class TestFaTransfer:
         for target in (1, 3, e.n):
             transferred = fa_transfer(traj, 2, target).values
             assert np.all(transferred <= 1.0 - source + 1e-9)
-
-
-class TestStaticOverlap:
-    def test_plus_two_atoms(self):
-        e = build_line(2)
-        assert abs(static_overlap(e, "plus", 2) - 1.0 / (2.0 * np.sqrt(2.0))) < 1e-14
-
-    @pytest.mark.parametrize("n,n_target", [(5, 3), (8, 8), (12, 5)])
-    def test_plus_general_telescopes(self, n, n_target):
-        # oracle: phases cancel pairwise leaving |(n_t-1)/n_t - 1|/sqrt(n)
-        e = build_line(n, spacing=0.8)
-        expect = 1.0 / (n_target * np.sqrt(n))
-        assert abs(static_overlap(e, "plus", n_target) - expect) < 1e-14
-
-    def test_minus_with_disjoint_top_atom(self):
-        # for n_target >= 3 the last-atom term is orthogonal to |-> and the
-        # two retained phase terms cancel exactly
-        e = build_line(6, spacing=1.1)
-        for n_target in (3, 4, 6):
-            assert static_overlap(e, "minus", n_target) < 1e-14
-
-    def test_minus_two_atoms(self):
-        e = build_line(4, spacing=0.9)
-        assert abs(static_overlap(e, "minus", 2) - 3.0 / (2.0 * np.sqrt(2.0))) < 1e-14
-
-    def test_range_validation(self):
-        e = build_line(4)
-        with pytest.raises(ValueError):
-            static_overlap(e, "plus", 1)
-        with pytest.raises(ValueError):
-            static_overlap(e, "plus", 5)
-        with pytest.raises(ValueError):
-            static_overlap(e, "neither", 2)
 
 
 class TestDecayTime:
