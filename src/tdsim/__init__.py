@@ -32,9 +32,7 @@ from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sect
 from .kernels import (
     GeneratorMatrix,
     assemble_td_direct,
-    build_exp_generator,
     build_generator,
-    build_sine_generator,
     transform_generator,
 )
 from .observables import (
@@ -58,10 +56,8 @@ __all__ = [
     "TDTransform",
     "Trajectory",
     "assemble_td_direct",
-    "build_exp_generator",
     "build_generator",
     "build_line",
-    "build_sine_generator",
     "build_sphere_lattice",
     "build_transform",
     "decay_time",

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
-from .dynamics import Trajectory, propagate
+from .dynamics import Trajectory, propagate, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
@@ -180,22 +180,22 @@ def _parse_init(text):
     )
 
 
+_TRACKED_ALIASES = {"plus": "plus", "+": "plus", "minus": "2", "-": "2"}
+
+
 def _parse_tracked(text):
     text = str(text).strip()
-    if text in ("none", ""):
-        return "none"
-    if text == "all":
-        return "all"
+    if text in ("", "none", "all"):
+        return text or "none"
     canonical = []
-    for token in text.split(","):
-        token = token.strip()
-        if token in ("plus", "+"):
-            canonical.append("plus")
-        elif token in ("minus", "-"):
-            canonical.append("2")
-        else:
+    for token in map(str.strip, text.split(",")):
+        name = _TRACKED_ALIASES.get(token)
+        if name is None:
             idx = _parse_number("tracked index", int)(token)
-            canonical.append("plus" if idx == 1 else str(idx))
+            name = "plus" if idx == 1 else str(idx)
+        if name in canonical:
+            raise ConfigError(f"tracked index {name} is repeated in {text!r}")
+        canonical.append(name)
     return ",".join(canonical)
 
 
@@ -245,10 +245,10 @@ def read_config_file(path) -> dict:
 
 
 def _validate_config(config: RunConfig) -> RunConfig:
-    steps = config.t_max / config.dt
-    if not math.isclose(steps, round(steps), rel_tol=1e-9):
-        raise ConfigError(f"t_max = {config.t_max!r} is not an integer multiple "
-                          f"of dt = {config.dt!r}")
+    try:
+        step_indices(config.dt, config.t_max, config.stride)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if config.init.startswith("section:"):
         m = int(config.init.split(":", 1)[1])
         if config.sections is None:
@@ -371,7 +371,7 @@ def simulate(config: RunConfig) -> RunResult:
             name = "pop_plus" if idx == 1 else f"pop_{idx}"
             columns.append((name, pops[idx]))
     if config.init.startswith("section:"):
-        columns.append(("pop_init", state_population(traj, init, "population:init")))
+        columns.append(("pop_init", state_population(traj, init)))
     columns.append(("total", total_excitation(traj)))
     return RunResult(config=replace(config, solver=traj.solver), ensemble=ensemble,
                      trajectory=traj, td_trajectory=td_traj, columns=columns)
@@ -419,10 +419,10 @@ def render_csv(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig, out_path=None) -> Path:
-    """Execute one run and write its CSV; returns the written path."""
+def run(config: RunConfig, out_path) -> Path:
+    """Execute one run and write its CSV to ``out_path``; returns the path."""
     result = simulate(config)
-    path = Path(out_path or config.output or "run.csv")
+    path = Path(out_path)
     path.write_text(render_csv(result), encoding="utf-8")
     return path
 
@@ -439,14 +439,14 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
     return eig[np.lexsort((eig.imag, eig.real))]
 
 
-def spectrum(config: RunConfig, out_path=None) -> Path:
-    """Write the TD-generator eigenvalue table as CSV."""
+def spectrum(config: RunConfig, out_path) -> Path:
+    """Write the TD-generator eigenvalue table as CSV to ``out_path``."""
     eig = spectrum_eigenvalues(config)
     lines = [f"# {k} = {v}" for k, v in _echo_items(config, ["kernel", "gamma"])]
     lines.append("index,real,imag")
     for i, value in enumerate(eig):
         lines.append(f"{i},{_fmt(value.real)},{_fmt(value.imag)}")
-    path = Path(out_path or config.output or "spectrum.csv")
+    path = Path(out_path)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -486,14 +486,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_out(preset, suffix, fallback, output):
+def _default_out(command, preset, suffix, output) -> str:
+    """``output`` (``_<suffix>`` added on multi-run presets), else named from preset or command."""
     if output:
-        if suffix:
-            stem = str(output)
-            stem = stem[:-4] if stem.endswith(".csv") else stem
-            return f"{stem}_{suffix}.csv"
-        return output
-    stem = preset or fallback
+        if not suffix:
+            return str(output)
+        stem = str(output).removesuffix(".csv")
+    elif preset:
+        stem = preset if command == "run" else f"{preset}_{command}"
+    else:
+        stem = command
     return f"{stem}_{suffix}.csv" if suffix else f"{stem}.csv"
 
 
@@ -512,15 +514,14 @@ def main(argv=None) -> int:
         flags = {key: value for key, value in vars(args).items()
                  if key in _CONVERTERS and value is not None}
         configs = parse_config({**flags, "preset": args.preset}, args.config)
-        for suffix, config in configs:
-            if args.command == "run":
-                out = _default_out(args.preset, suffix, "run", config.output)
-                path = run(config, out)
-            else:
-                stem = f"{args.preset}_spectrum" if args.preset else None
-                out = _default_out(stem, suffix, "spectrum", config.output)
-                path = spectrum(config, out)
-            print(path)
+        outs = [_default_out(args.command, args.preset, suffix, config.output)
+                for suffix, config in configs]
+        for out in map(Path, outs):  # checked before any run spends compute
+            if not out.parent.is_dir():
+                raise ConfigError(f"cannot write {out}: {out.parent} is not a directory")
+        write = run if args.command == "run" else spectrum
+        for (_, config), out in zip(configs, outs):
+            print(write(config, out))
         return 0
     except (ConfigError, OSError) as err:  # bad input, unreadable config, unwritable output
         print(f"tdsim: {err}", file=sys.stderr)

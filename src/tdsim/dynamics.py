@@ -1,8 +1,9 @@
 """Propagators for beta_dot = M beta with a time-independent generator.
 
-:func:`propagate` is a run's one entry point: it builds the output grid and
-holds the ``auto`` rule (eigen for N <= ``EIGEN_SOLVER_MAX_N``, RK4 above).
-It dispatches to two of three independent routes, which must agree:
+:func:`step_indices` owns the time-grid rule (``t_max`` a multiple of ``dt``).
+:func:`propagate` is a run's one entry point: it holds the ``auto`` rule
+(eigen for N <= ``EIGEN_SOLVER_MAX_N``, RK4 above) and dispatches to two
+of three independent routes, which must agree:
 
 * :func:`rk4_propagate` -- classical fixed-step Runge-Kutta 4, the
   reference method (default dt = 0.01 in units of 1/gamma);
@@ -15,6 +16,7 @@ It dispatches to two of three independent routes, which must agree:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +33,7 @@ __all__ = [
     "eigen_decompose",
     "eigen_solve",
     "oracle_expm",
-    "record_indices",
+    "step_indices",
 ]
 
 EIGEN_COND_LIMIT = 1e12
@@ -108,20 +110,20 @@ def _resolve(generator, state0):
     return matrix, beta0, basis
 
 
-def record_indices(n_steps: int, stride: int = 1) -> np.ndarray:
-    """Step indices kept in a trajectory: every stride-th plus the last."""
+def step_indices(dt: float, t_max: float, stride: int = 1) -> np.ndarray:
+    """Every ``stride``-th step index of a ``dt`` grid plus the last, which
+    lands on ``t_max``: that must be an integer multiple of ``dt`` (1e-9 rel)."""
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not 0 <= t_max < math.inf:
+        raise ValueError(f"t_max must be nonnegative and finite, got {t_max!r}")
     if stride < 1:
-        raise ValueError("stride must be >= 1")
+        raise ValueError(f"stride must be >= 1, got {stride!r}")
+    steps = t_max / dt
+    n_steps = round(steps)
+    if not math.isclose(steps, n_steps, rel_tol=1e-9):
+        raise ValueError(f"t_max = {t_max!r} is not an integer multiple of dt = {dt!r}")
     return np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
-
-
-def _step_grid(dt: float, t_max: float, stride: int) -> np.ndarray:
-    """Recorded step indices of a ``dt`` grid from 0 to ``t_max``."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max!r}")
-    return record_indices(int(round(t_max / dt)), stride)
 
 
 def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
@@ -134,7 +136,7 @@ def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     if solver == "rk4":
         return rk4_propagate(generator, state0, dt, t_max, stride)
     if solver == "eigen":
-        return eigen_solve(generator, state0, _step_grid(dt, t_max, stride) * dt)
+        return eigen_solve(generator, state0, step_indices(dt, t_max, stride) * dt)
     raise ValueError(f"solver must be 'auto', 'rk4' or 'eigen', got {solver!r}")
 
 
@@ -142,7 +144,7 @@ def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
                   stride: int = 1) -> Trajectory:
     """Fixed-step RK4 integration, snapshots every ``stride`` steps."""
     matrix, beta0, basis = _resolve(generator, state0)
-    keep = _step_grid(dt, t_max, stride)
+    keep = step_indices(dt, t_max, stride)
     keep_set = set(keep.tolist())
     out = np.empty((keep.size, beta0.size), dtype=complex)
     out[0] = beta0

@@ -30,8 +30,6 @@ EXP = "exp"
 
 __all__ = [
     "GeneratorMatrix",
-    "build_sine_generator",
-    "build_exp_generator",
     "build_generator",
     "transform_generator",
     "assemble_td_direct",
@@ -45,7 +43,6 @@ class GeneratorMatrix:
     matrix: np.ndarray
     basis: str
     kernel: str
-    gamma: float
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=complex)
@@ -83,17 +80,7 @@ def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> Gene
     """Fock generator of the ``sine`` or ``exp`` kernel."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK, kernel, gamma)
-
-
-def build_sine_generator(ensemble: Ensemble, gamma: float = 1.0) -> GeneratorMatrix:
-    """Sine-kernel Fock generator (pure real decay couplings, no Lamb shift)."""
-    return build_generator(ensemble, SINE, gamma)
-
-
-def build_exp_generator(ensemble: Ensemble, gamma: float = 1.0) -> GeneratorMatrix:
-    """Exponential-kernel Fock generator including collective Lamb shifts."""
-    return build_generator(ensemble, EXP, gamma)
+    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK, kernel)
 
 
 def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> GeneratorMatrix:
@@ -107,7 +94,7 @@ def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> G
     # apply(X) = X S^T: apply(M^T) = (S M)^T, and S M S^dagger = conj(apply(conj(S M)))
     SMt = transform.apply(generator.matrix.T)
     M_td = transform.apply(np.conj(SMt, out=SMt).T)
-    return GeneratorMatrix(np.conj(M_td, out=M_td), TD, generator.kernel, generator.gamma)
+    return GeneratorMatrix(np.conj(M_td, out=M_td), TD, generator.kernel)
 
 
 def assemble_td_direct(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:
@@ -124,4 +111,4 @@ def assemble_td_direct(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> G
     kappa = _kernel_matrix(ensemble, kernel, gamma)
     timed = np.exp(-1j * ensemble.Kvec) * kappa
     W = ladder_weights(ensemble.n)
-    return GeneratorMatrix(W @ timed @ W.T, TD, kernel, gamma)
+    return GeneratorMatrix(W @ timed @ W.T, TD, kernel)

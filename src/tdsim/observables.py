@@ -23,7 +23,6 @@ __all__ = [
     "total_excitation",
     "fa_transfer",
     "decay_time",
-    "td_label",
 ]
 
 PURE_START_TOL = 1e-9
@@ -31,11 +30,10 @@ PURE_START_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ObservableSeries:
-    """A real-valued time series with a label such as ``population:+``."""
+    """A real-valued time series on a trajectory's time grid."""
 
     times: np.ndarray
     values: np.ndarray
-    label: str
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -44,10 +42,6 @@ class ObservableSeries:
             raise ValueError("times and values must be 1-d and aligned")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-
-def td_label(index: int) -> str:
-    return "+" if index == 1 else f"m={index}"
 
 
 def _check_td_index(traj: Trajectory, index: int):
@@ -63,12 +57,11 @@ def populations(traj: Trajectory, indices) -> dict[int, ObservableSeries]:
     for index in indices:
         _check_td_index(traj, index)
         vals = np.abs(traj.amplitudes[:, index - 1]) ** 2
-        out[index] = ObservableSeries(traj.times, vals, f"population:{td_label(index)}")
+        out[index] = ObservableSeries(traj.times, vals)
     return out
 
 
-def state_population(traj: Trajectory, ref: AmplitudeState,
-                     label: str = "population:ref") -> ObservableSeries:
+def state_population(traj: Trajectory, ref: AmplitudeState) -> ObservableSeries:
     """Survival probability |<ref|beta(t)>|^2 of an arbitrary reference state."""
     if ref.basis != traj.basis:
         raise ValueError(
@@ -77,13 +70,13 @@ def state_population(traj: Trajectory, ref: AmplitudeState,
     if ref.n != traj.n:
         raise ValueError("reference state dimension does not match trajectory")
     overlaps = traj.amplitudes @ np.conj(ref.amplitudes)
-    return ObservableSeries(traj.times, np.abs(overlaps) ** 2, label)
+    return ObservableSeries(traj.times, np.abs(overlaps) ** 2)
 
 
 def total_excitation(traj: Trajectory) -> ObservableSeries:
     """Total probability sum_j |beta_j(t)|^2 that the sample stays excited."""
     vals = np.sum(np.abs(traj.amplitudes) ** 2, axis=1)
-    return ObservableSeries(traj.times, vals, "total")
+    return ObservableSeries(traj.times, vals)
 
 
 def fa_transfer(traj: Trajectory, source: int, target: int) -> ObservableSeries:
@@ -95,14 +88,10 @@ def fa_transfer(traj: Trajectory, source: int, target: int) -> ObservableSeries:
     p0 = abs(traj.amplitudes[0, source - 1]) ** 2
     if p0 < 1.0 - PURE_START_TOL:
         raise ValueError(
-            f"trajectory does not start in the pure source state "
-            f"{td_label(source)} (initial population {p0:.12f})"
+            f"trajectory does not start in the pure source state, TD index "
+            f"{source} (initial population {p0:.12f})"
         )
-    series = populations(traj, [target])[target]
-    return ObservableSeries(
-        series.times, series.values,
-        f"transfer:{td_label(source)}->{td_label(target)}"
-    )
+    return populations(traj, [target])[target]
 
 
 def decay_time(series: ObservableSeries, threshold: float) -> float:

@@ -3,7 +3,7 @@ import pytest
 
 from tdsim import (
     build_line,
-    build_sine_generator,
+    build_generator,
     build_sphere_lattice,
     build_transform,
     ladder_state,
@@ -155,7 +155,7 @@ class TestTransformGenerator:
         e = build_line(5, spacing=0.9)
         S = build_transform(e)
         gamma = 1.3
-        M = GeneratorMatrix(-gamma * np.eye(5), "fock", "sine", gamma)
+        M = GeneratorMatrix(-gamma * np.eye(5), "fock", "sine")
         td = transform_generator(S, M)
         np.testing.assert_allclose(td.matrix, -gamma * np.eye(5), atol=1e-14)
         assert td.basis == "td"
@@ -163,25 +163,25 @@ class TestTransformGenerator:
     def test_two_atom_analytic(self):
         # K = pi/2 along k0: sinc = 2/pi, TD off-diagonal -/+ is -2i*gamma/pi
         e = build_line(2, spacing=np.pi / 2)
-        td = transform_generator(build_transform(e), build_sine_generator(e))
+        td = transform_generator(build_transform(e), build_generator(e, "sine"))
         np.testing.assert_allclose(td.matrix[1, 0], -2j / np.pi, atol=1e-14)
         np.testing.assert_allclose(td.matrix[0, 0], -1.0 - 0j, atol=1e-14)
 
     def test_eigenvalues_preserved(self, sphere123):
-        M = build_sine_generator(sphere123)
+        M = build_generator(sphere123, "sine")
         td = transform_generator(build_transform(sphere123), M)
         ev_f = np.sort_complex(np.linalg.eigvals(M.matrix))
         ev_t = np.sort_complex(np.linalg.eigvals(td.matrix))
         assert np.abs(ev_f - ev_t).max() < 1e-8
 
     def test_trace_preserved(self, sphere123):
-        M = build_sine_generator(sphere123)
+        M = build_generator(sphere123, "sine")
         td = transform_generator(build_transform(sphere123), M)
         assert abs(np.trace(M.matrix) - np.trace(td.matrix)) < 1e-10
 
     def test_dimension_mismatch(self):
         S = build_transform(build_line(3))
-        M = build_sine_generator(build_line(4))
+        M = build_generator(build_line(4), "sine")
         with pytest.raises(ValueError, match="mismatch"):
             transform_generator(S, M)
 

@@ -100,6 +100,8 @@ class TestParseConfig:
             ("k0_vec", "1,0", "k0_vec"),
             ("init", "minus", "init"),
             ("tracked", "plus,zero", "tracked"),
+            ("tracked", "plus,plus,1", "tracked index plus is repeated"),
+            ("tracked", "2,3,minus", "tracked index 2 is repeated"),
         ]:
             with pytest.raises(ConfigError, match=hint):
                 parse_config({key: value})
@@ -368,6 +370,15 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("tdsim: ") and err.count("\n") == 1
         assert "x.csv" in err
+
+    def test_missing_output_directory_exits_before_the_first_run(self, tmp_path, capsys,
+                                                                  no_generator):
+        out = tmp_path / "nonexistent" / "x.csv"
+        assert main(["run", "--preset", "fig4", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("tdsim: ") and err.count("\n") == 1
+        assert "x_sine_plus.csv" in err
+        assert not list(tmp_path.iterdir())
 
     def test_auto_solver_above_the_eigen_limit_echoes_rk4(self, tmp_path):
         out = tmp_path / "big.csv"

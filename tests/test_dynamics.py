@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from tdsim import (
-    build_exp_generator,
     build_line,
-    build_sine_generator,
+    build_generator,
     build_sphere_lattice,
     build_transform,
     eigen_decompose,
@@ -17,7 +16,7 @@ from tdsim import (
     transform_generator,
 )
 from tdsim.basis import AmplitudeState
-from tdsim.dynamics import DegenerateSpectrumError, Trajectory, record_indices
+from tdsim.dynamics import DegenerateSpectrumError, Trajectory, step_indices
 
 
 def random_stable_matrix(rng, n):
@@ -39,7 +38,7 @@ class TestRk4:
 
     def test_matches_eigen_two_atoms(self):
         e = build_line(2, spacing=np.pi / 2)
-        M = build_sine_generator(e)
+        M = build_generator(e, "sine")
         beta0 = plus_state(e)
         traj_rk4 = rk4_propagate(M, beta0, dt=0.01, t_max=5.0)
         traj_eig = eigen_solve(M, beta0, traj_rk4.times)
@@ -57,7 +56,7 @@ class TestRk4:
 
     def test_basis_mismatch(self):
         e = build_line(2)
-        td = transform_generator(build_transform(e), build_sine_generator(e))
+        td = transform_generator(build_transform(e), build_generator(e, "sine"))
         with pytest.raises(ValueError, match="basis"):
             rk4_propagate(td, plus_state(e))
 
@@ -93,7 +92,7 @@ class TestEigenSolve:
 
     def test_decomposition_invariants(self):
         e = build_sphere_lattice(2.0, 1.0)
-        M = build_exp_generator(e)
+        M = build_generator(e, "exp")
         beta0 = plus_state(e).amplitudes
         sol = eigen_decompose(M, beta0)
         resid = M.matrix @ sol.eigenvectors - sol.eigenvectors * sol.eigenvalues
@@ -103,7 +102,7 @@ class TestEigenSolve:
 
     def test_agrees_with_rk4_sphere(self):
         e = build_sphere_lattice(3.0, 1.0)  # 123 atoms
-        M = build_sine_generator(e)
+        M = build_generator(e, "sine")
         beta0 = plus_state(e)
         traj_rk4 = rk4_propagate(M, beta0, dt=0.01, t_max=10.0, stride=100)
         traj_eig = eigen_solve(M, beta0, traj_rk4.times)
@@ -149,8 +148,7 @@ class TestCrossSolverProperties:
     @pytest.mark.parametrize("kernel", ["sine", "exp"])
     def test_three_solver_agreement(self, kernel):
         e = build_sphere_lattice(2.0, 1.0)  # 33 atoms
-        build = build_sine_generator if kernel == "sine" else build_exp_generator
-        M = build(e)
+        M = build_generator(e, kernel)
         beta0 = plus_state(e)
         traj_rk4 = rk4_propagate(M, beta0, dt=0.01, t_max=10.0, stride=200)
         traj_eig = eigen_solve(M, beta0, traj_rk4.times)
@@ -162,7 +160,7 @@ class TestCrossSolverProperties:
 
     def test_rk4_convergence_order(self):
         e = build_sphere_lattice(2.0, 1.0)
-        M = build_sine_generator(e)
+        M = build_generator(e, "sine")
         beta0 = plus_state(e)
         t_end = 1.0
         ref = oracle_expm(M, beta0, t_end).amplitudes
@@ -176,14 +174,13 @@ class TestCrossSolverProperties:
     @pytest.mark.parametrize("kernel", ["sine", "exp"])
     def test_total_excitation_never_increases(self, kernel):
         e = build_sphere_lattice(2.0, 1.0)
-        build = build_sine_generator if kernel == "sine" else build_exp_generator
-        traj = rk4_propagate(build(e), plus_state(e), dt=0.01, t_max=5.0)
+        traj = rk4_propagate(build_generator(e, kernel), plus_state(e), dt=0.01, t_max=5.0)
         totals = np.sum(np.abs(traj.amplitudes) ** 2, axis=1)
         assert np.diff(totals).max() <= 1e-10
 
     def test_basis_route_equivalence(self):
         e = build_sphere_lattice(2.0, 1.0)
-        M = build_sine_generator(e)
+        M = build_generator(e, "sine")
         S = build_transform(e)
         beta0 = plus_state(e)
         traj_fock = rk4_propagate(M, beta0, dt=0.01, t_max=3.0, stride=50)
@@ -210,7 +207,7 @@ class TestPropagate:
     ])
     def test_matches_the_direct_call(self, n, solver, method):
         e = build_line(n)
-        M, beta0 = build_sine_generator(e), plus_state(e)
+        M, beta0 = build_generator(e, "sine"), plus_state(e)
         traj = propagate(M, beta0, self.DT, self.T_MAX, self.STRIDE, solver)
         ref = self.direct(method, M, beta0)
         assert traj.solver == method
@@ -227,12 +224,15 @@ class TestPropagate:
                 propagate(M, beta0, dt=0.0, solver=solver)
             with pytest.raises(ValueError, match="t_max"):
                 propagate(M, beta0, t_max=-1.0, solver=solver)
+            for dt in (0.3, 0.35):  # would end short of t_max / overshoot it
+                with pytest.raises(ValueError, match=rf"t_max = 1\.0 .* dt = {dt}"):
+                    propagate(M, beta0, dt=dt, t_max=1.0, solver=solver)
 
 
 class TestTrajectoryType:
     def test_record_indices(self):
-        np.testing.assert_array_equal(record_indices(10, 3), [0, 3, 6, 9, 10])
-        np.testing.assert_array_equal(record_indices(0, 1), [0])
+        np.testing.assert_array_equal(step_indices(0.1, 1.0, 3), [0, 3, 6, 9, 10])
+        np.testing.assert_array_equal(step_indices(0.1, 0.0), [0])
 
     def test_invariants_enforced(self):
         good = Trajectory(times=np.array([0.0, 1.0]),

@@ -6,7 +6,7 @@ import pytest
 from tdsim import (
     Ensemble,
     build_line,
-    build_sine_generator,
+    build_generator,
     build_sphere_lattice,
     build_transform,
     decay_time,
@@ -27,7 +27,7 @@ from tdsim.observables import ObservableSeries
 def td_trajectory(ensemble, init, t_max=5.0, dt=0.01, gamma=1.0):
     """Propagate in the TD basis starting from the given fock-basis state."""
     S = build_transform(ensemble)
-    td_gen = transform_generator(S, build_sine_generator(ensemble, gamma))
+    td_gen = transform_generator(S, build_generator(ensemble, "sine", gamma))
     times = np.arange(0.0, t_max + dt / 2, dt)
     return eigen_solve(td_gen, to_td(S, init), times)
 
@@ -60,7 +60,7 @@ class TestPopulations:
 
     def test_requires_td_basis(self):
         e = build_line(2)
-        traj = rk4_propagate(build_sine_generator(e), plus_state(e), t_max=1.0)
+        traj = rk4_propagate(build_generator(e, "sine"), plus_state(e), t_max=1.0)
         with pytest.raises(ValueError, match="td"):
             populations(traj, [1])
 
@@ -87,7 +87,7 @@ class TestTotalExcitation:
 
     def test_basis_invariance(self):
         e = build_sphere_lattice(2.0, 1.0)
-        M = build_sine_generator(e)
+        M = build_generator(e, "sine")
         fock = rk4_propagate(M, plus_state(e), dt=0.01, t_max=3.0, stride=10)
         S = build_transform(e)
         td = td_trajectory(e, plus_state(e), t_max=3.0)
@@ -125,7 +125,7 @@ class TestStatePopulation:
 
     def test_basis_mismatch(self):
         e = build_line(2)
-        traj = rk4_propagate(build_sine_generator(e), plus_state(e), t_max=1.0)
+        traj = rk4_propagate(build_generator(e, "sine"), plus_state(e), t_max=1.0)
         td_state = to_td(build_transform(e), plus_state(e))
         with pytest.raises(ValueError, match="basis"):
             state_population(traj, td_state)
@@ -158,21 +158,21 @@ class TestFaTransfer:
 class TestDecayTime:
     def test_exponential_crossing(self):
         t = np.arange(0.0, 3.0, 0.01)
-        series = ObservableSeries(t, np.exp(-2.0 * t), "total")
+        series = ObservableSeries(t, np.exp(-2.0 * t))
         crossing = decay_time(series, math.exp(-2.0))
         assert abs(crossing - 1.0) < 0.01
 
     def test_never_crosses(self):
         t = np.arange(0.0, 2.0, 0.1)
-        series = ObservableSeries(t, np.ones_like(t), "total")
+        series = ObservableSeries(t, np.ones_like(t))
         assert decay_time(series, 0.5) == math.inf
 
     def test_linear_interpolation(self):
-        series = ObservableSeries(np.array([0.0, 1.0]), np.array([1.0, 0.0]), "x")
+        series = ObservableSeries(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert abs(decay_time(series, 0.25) - 0.75) < 1e-12
 
     def test_starts_below_threshold(self):
-        series = ObservableSeries(np.array([0.0, 1.0]), np.array([0.2, 0.1]), "x")
+        series = ObservableSeries(np.array([0.0, 1.0]), np.array([0.2, 0.1]))
         with pytest.raises(ValueError, match="above threshold"):
             decay_time(series, 0.5)
 
@@ -185,9 +185,9 @@ class TestPermutationCovariance:
         shuffled = Ensemble(positions=base.positions[perm], k0_vec=base.k0_vec)
         times = np.arange(0.0, 5.0, 0.05)
         t_base = total_excitation(
-            eigen_solve(build_sine_generator(base), plus_state(base), times)
+            eigen_solve(build_generator(base, "sine"), plus_state(base), times)
         ).values
         t_shuf = total_excitation(
-            eigen_solve(build_sine_generator(shuffled), plus_state(shuffled), times)
+            eigen_solve(build_generator(shuffled, "sine"), plus_state(shuffled), times)
         ).values
         assert np.abs(t_base - t_shuf).max() < 1e-10
