@@ -262,8 +262,10 @@ def _validate_config(config: RunConfig) -> RunConfig:
 
 
 def resolve_configs(preset: str | None = None, file_pairs: dict | None = None,
-                    flag_pairs: dict | None = None) -> list[tuple[str, RunConfig]]:
-    """Merge defaults, preset, file and flags into resolved (suffix, config) runs."""
+                    flag_pairs: dict | None = None,
+                    run_checks: bool = True) -> list[tuple[str, RunConfig]]:
+    """Merge defaults, preset, file and flags into resolved (suffix, config) runs;
+    ``run_checks=False`` skips the checks only a run needs (time grid, section init)."""
     flag_pairs = dict(flag_pairs or {})
     file_pairs = dict(file_pairs or {})
     overrides = {**file_pairs, **flag_pairs}
@@ -286,18 +288,19 @@ def resolve_configs(preset: str | None = None, file_pairs: dict | None = None,
     for run_dict in runs:
         merged = {k: _convert(k, v) for k, v in run_dict.items() if k != "_suffix"}
         merged.update(overrides)
-        config = _validate_config(replace(RunConfig(), **merged))
+        config = replace(RunConfig(), **merged)
+        config = _validate_config(config) if run_checks else config
         resolved.append((run_dict.get("_suffix", ""), config))
     return resolved
 
 
-def parse_config(args=None, file=None) -> list[tuple[str, RunConfig]]:
+def parse_config(args=None, file=None, run_checks=True) -> list[tuple[str, RunConfig]]:
     """Resolve a mapping of config keys (plus an optional ``preset``) over a config file."""
     args = dict(args or {})
     preset = args.pop("preset", None)
     flags = {k: _convert(k, v) for k, v in args.items()}
     file_pairs = read_config_file(file) if file else {}
-    return resolve_configs(preset, file_pairs, flags)
+    return resolve_configs(preset, file_pairs, flags, run_checks)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +516,8 @@ def main(argv=None) -> int:
     try:
         flags = {key: value for key, value in vars(args).items()
                  if key in _CONVERTERS and value is not None}
-        configs = parse_config({**flags, "preset": args.preset}, args.config)
+        configs = parse_config({**flags, "preset": args.preset}, args.config,
+                               run_checks=args.command == "run")
         outs = [_default_out(args.command, args.preset, suffix, config.output)
                 for suffix, config in configs]
         for out in map(Path, outs):  # checked before any run spends compute

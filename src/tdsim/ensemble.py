@@ -24,9 +24,9 @@ __all__ = [
 class Ensemble:
     """Immutable set of atom positions plus the driving wavevector.
 
-    The pair matrices ``K`` (symmetric, zero diagonal) and ``Kvec``
-    (antisymmetric) are built on first access, so an ensemble that never
-    reaches a generator costs no N x N memory.
+    The pair matrices ``K`` (symmetric, zero diagonal; rebuilt on each access,
+    never kept) and ``Kvec`` (antisymmetric; cached) are built on access, so
+    an ensemble that never reaches a generator keeps no N x N memory.
     ``sections`` (optional) labels each atom with a contiguous-slab
     section index 0..m-1; see :func:`partition_sections`.
     """
@@ -70,7 +70,7 @@ class Ensemble:
     def n(self) -> int:
         return self.positions.shape[0]
 
-    @cached_property
+    @property
     def K(self) -> np.ndarray:
         # squared distances one axis at a time, so no N x N x 3 array
         dist = np.zeros((self.n, self.n))

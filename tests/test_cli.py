@@ -338,6 +338,22 @@ class TestMainEntry:
         assert "1.0" in err and "0.3" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("n,run_only,message", [
+        ("3", ["--t-max", "1.0", "--dt", "0.3"],
+         "t_max = 1.0 is not an integer multiple of dt = 0.3"),
+        ("4", ["--init", "section:2"], "init 'section:m' requires the sections key"),
+    ], ids=["grid", "section_init"])
+    def test_spectrum_ignores_run_only_keys(self, tmp_path, capsys, n, run_only, message):
+        base = ["--geometry", "line", "--n", n]
+        plain, extra = tmp_path / "plain.csv", tmp_path / "extra.csv"
+        assert main(["spectrum", *base, "--output", str(plain)]) == 0
+        assert main(["spectrum", *base, *run_only, "--output", str(extra)]) == 0
+        assert extra.read_text() == plain.read_text()
+        capsys.readouterr()
+        assert main(["run", *base, *run_only, "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == f"tdsim: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_config_file_output_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"

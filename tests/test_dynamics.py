@@ -190,6 +190,32 @@ class TestCrossSolverProperties:
         assert np.abs(td_from_fock - traj_td.amplitudes).max() < 1e-8
 
 
+class TestRK4StepMatrix:
+    """Runs of at least N steps advance by the one-step matrix P, shorter ones by
+    the four-matvec loop; both are the same RK4 method."""
+
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    def test_step_matrix_only_from_n_steps_and_paths_agree(self, kernel, monkeypatch):
+        import tdsim.dynamics as dynamics
+
+        e = build_sphere_lattice(3.0, 1.0, target_count=40)
+        M, beta0 = build_generator(e, kernel), plus_state(e)
+        builds = []
+        real_build = dynamics._rk4_step_matrix
+
+        def counting_build(matrix, dt):
+            builds.append(matrix.shape[0])
+            return real_build(matrix, dt)
+
+        monkeypatch.setattr(dynamics, "_rk4_step_matrix", counting_build)
+        short = rk4_propagate(M, beta0, dt=0.05, t_max=39 * 0.05)  # 39 steps: loop
+        assert builds == []
+        long = rk4_propagate(M, beta0, dt=0.05, t_max=40 * 0.05)  # 40 steps: P
+        assert builds == [40]
+        assert np.array_equal(long.times[:40], short.times)
+        assert np.abs(long.amplitudes[:40] - short.amplitudes).max() < 1e-13
+
+
 class TestPropagate:
     DT, T_MAX, STRIDE = 0.01, 0.05, 2
     GRID = np.array([0, 2, 4, 5]) * 0.01  # every 2nd step plus the last

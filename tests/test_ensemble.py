@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tdsim import Ensemble, build_line, build_sphere_lattice, partition_sections
+from tdsim.cli import parse_config, simulate
 
 
 def brute_force_ball_points(radius, spacing):
@@ -60,10 +61,11 @@ class TestPairGeometry:
     def test_pair_values_match_a_loop_reference(self):
         e = build_sphere_lattice(2.0, 0.8, k0_vec=(0.3, -1.2, 0.4))
         k0 = np.linalg.norm(e.k0_vec)
+        K, Kvec = e.K, e.Kvec  # K is rebuilt on every access
         for j, rj in enumerate(e.positions):
             for i, ri in enumerate(e.positions):
-                assert abs(e.K[j, i] - k0 * np.linalg.norm(rj - ri)) <= 1e-12 * max(1.0, e.K[j, i])
-                assert abs(e.Kvec[j, i] - e.k0_vec @ (rj - ri)) <= 1e-12 * max(1.0, e.K[j, i])
+                assert abs(K[j, i] - k0 * np.linalg.norm(rj - ri)) <= 1e-12 * max(1.0, K[j, i])
+                assert abs(Kvec[j, i] - e.k0_vec @ (rj - ri)) <= 1e-12 * max(1.0, K[j, i])
 
     def test_k0_scale_enters_K(self):
         e = build_line(3, spacing=1.0, k0_vec=(2.0, 0, 0))
@@ -85,6 +87,12 @@ class TestPairGeometry:
         e = build_sphere_lattice(3.0, 1.0, k0_vec=(0.3, -1.2, 0.4), target_count=100)
         parted = partition_sections(e, 3, axis=(0.0, 0.0, 1.0))
         assert parted.K.tobytes() == e.K.tobytes()  # bitwise, not just to rounding
+
+    def test_simulate_keeps_no_pair_matrix(self):
+        [(_, config)] = parse_config({"geometry": "sphere", "radius": "2.0", "t_max": "0.1"})
+        result = simulate(config)
+        assert result.ensemble.n == 33
+        assert "K" not in vars(result.ensemble)
 
 
 class TestSphereLattice:
