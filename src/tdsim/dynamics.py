@@ -8,8 +8,8 @@ of three independent routes, which must agree:
 * :func:`rk4_propagate` -- classical fixed-step Runge-Kutta 4, the
   reference method (default dt = 0.01 in units of 1/gamma).  For constant
   M a step is the Taylor polynomial P = sum_k (hM)^k/k!, k <= 4, so a run of
-  ``n_steps >= N`` builds P once (the cost of 0.25-0.5 N loop steps at
-  N = 1000-3000) and takes one matvec per step; shorter runs take four;
+  ``n_steps >= N`` builds P once (it paid for itself after 0.2-0.4 N steps
+  at N = 1000-3000) and takes one matvec per step; shorter runs take four;
 * :func:`eigen_solve`  -- spectral solution beta(t) = sum_i c_i V_i e^{l_i t},
   exact in time, default for moderate N;
 * :func:`oracle_expm`  -- scaling-and-squaring matrix exponential with a

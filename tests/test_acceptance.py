@@ -3,8 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The fig4 runs
 (N = 1000, RK4) dominate the runtime; everything is cached in
 module-scoped fixtures.  On a 2-vCPU Intel Xeon VM (Python 3.11, numpy
-2.4.6 with OpenBLAS) this module takes about 15 s, about 11 s of it in
-the fig4 fixture; the rest of the tier-1 suite adds about a second.
+2.4.6 with OpenBLAS) this module takes about 9 s, about 6 s of it in
+the fig4 fixture (the same six runs take 5.6 s through the CLI, median
+in ``BENCH_1.json``); the rest of the tier-1 suite adds about 4 s.
 """
 
 import math
