@@ -25,7 +25,7 @@ import numpy as np
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
 from .dynamics import Trajectory, propagate, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
-from .kernels import build_generator
+from .kernels import KERNELS, build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
 
 __all__ = [
@@ -171,13 +171,12 @@ def _parse_k0_vec(text):
 def _parse_init(text):
     if text == "plus":
         return text
-    for prefix in ("ladder:", "section:"):
-        if text.startswith(prefix):
-            _parse_number("init index", int)(text[len(prefix):])
-            return text
-    raise ConfigError(
-        f"init must be 'plus', 'ladder:m' or 'section:m', got {text!r}"
-    )
+    kind, colon, index = text.partition(":")
+    if kind not in ("ladder", "section") or not colon:
+        raise ConfigError(f"init must be 'plus', 'ladder:m' or 'section:m', got {text!r}")
+    if _parse_number("init index", int)(index) < 2:
+        raise ConfigError(f"init index must be at least 2 (1 is 'plus'), got {text!r}")
+    return text
 
 
 _TRACKED_ALIASES = {"plus": "plus", "+": "plus", "minus": "2", "-": "2"}
@@ -208,7 +207,7 @@ _CONVERTERS = {
     "k0_vec": _parse_k0_vec,
     "sections": _parse_number("sections", int, optional=True),
     "section_axis": _parse_choice("section_axis", {"k0", "x", "y", "z"}),
-    "kernel": _parse_choice("kernel", {"sine", "exp"}),
+    "kernel": _parse_choice("kernel", KERNELS),
     "init": _parse_init,
     "solver": _parse_choice("solver", {"auto", "rk4", "eigen"}),
     "dt": _parse_number("dt"),
@@ -336,10 +335,8 @@ def _build_init(config: RunConfig, ensemble: Ensemble) -> AmplitudeState:
     if config.init == "plus":
         return plus_state(ensemble)
     kind, _, index = config.init.partition(":")
-    m = int(index)
-    if kind == "ladder":
-        return ladder_state(ensemble, m)
-    return section_state(ensemble, m)
+    build = ladder_state if kind == "ladder" else section_state
+    return build(ensemble, int(index))
 
 
 def _tracked_indices(config: RunConfig, n: int) -> list[int]:
@@ -436,7 +433,7 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
     S M S^dagger is unitarily similar to the Fock generator M, so the
     eigenvalues are taken from M directly.
     """
-    ensemble = _build_ensemble(config)
+    ensemble = _build_ensemble(replace(config, sections=None))  # sections do not enter
     generator = build_generator(ensemble, config.kernel, config.gamma)
     eig = np.linalg.eigvals(generator.matrix)
     return eig[np.lexsort((eig.imag, eig.real))]

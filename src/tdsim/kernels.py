@@ -14,6 +14,9 @@ generator entry for entry: Re[i e^{iK}/K] = -sin(K)/K.
 
 No 1/N prefactor is applied here; the 1/N seen in the TD-basis equations
 of motion comes out of the 1/sqrt(N) state normalizations.
+
+The kernel names live in ``KERNELS``.  Kernel and gamma are checked before K
+is built, and M is assembled in place in the complex buffer it is returned in.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ import numpy as np
 from .basis import FOCK, TD, TDTransform, ladder_weights
 from .ensemble import Ensemble
 
-SINE = "sine"
-EXP = "exp"
+KERNELS = ("sine", "exp")
 
 __all__ = [
     "GeneratorMatrix",
@@ -38,11 +40,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """N x N complex generator of beta_dot = M beta with its tags."""
+    """N x N complex generator of beta_dot = M beta with its basis tag."""
 
     matrix: np.ndarray
     basis: str
-    kernel: str
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=complex)
@@ -52,8 +53,6 @@ class GeneratorMatrix:
             raise ValueError("generator matrix must be finite")
         if self.basis not in (FOCK, TD):
             raise ValueError(f"unknown basis tag {self.basis!r}")
-        if self.kernel not in (SINE, EXP):
-            raise ValueError(f"unknown kernel tag {self.kernel!r}")
         object.__setattr__(self, "matrix", M)
 
     @property
@@ -63,24 +62,29 @@ class GeneratorMatrix:
 
 def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
     """Fock-basis kernel values on the K matrix, self terms set to -gamma."""
+    if kernel not in KERNELS:
+        raise ValueError(f"unknown kernel tag {kernel!r}")
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
     K = ensemble.K
     with np.errstate(divide="ignore", invalid="ignore"):
-        if kernel == SINE:
-            M = -gamma * np.sin(K) / K
-        elif kernel == EXP:
-            M = 1j * gamma * np.exp(1j * K) / K
+        if kernel == "sine":
+            M = np.zeros(K.shape, dtype=complex)
+            real = np.sin(K, out=M.real)
+            real *= -gamma
+            real /= K  # not M /= K: complex division by K rounds differently
         else:
-            raise ValueError(f"unknown kernel tag {kernel!r}")
-    M = np.asarray(M, dtype=complex)
+            M = np.multiply(K, 1j)
+            np.exp(M, out=M)
+            M *= 1j * gamma
+            M /= K
     np.fill_diagonal(M, -gamma)
     return M
 
 
 def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:
     """Fock generator of the ``sine`` or ``exp`` kernel."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK, kernel)
+    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK)
 
 
 def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> GeneratorMatrix:
@@ -94,7 +98,7 @@ def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> G
     # apply(X) = X S^T: apply(M^T) = (S M)^T, and S M S^dagger = conj(apply(conj(S M)))
     SMt = transform.apply(generator.matrix.T)
     M_td = transform.apply(np.conj(SMt, out=SMt).T)
-    return GeneratorMatrix(np.conj(M_td, out=M_td), TD, generator.kernel)
+    return GeneratorMatrix(np.conj(M_td, out=M_td), TD)
 
 
 def assemble_td_direct(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:
@@ -106,9 +110,7 @@ def assemble_td_direct(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> G
     matrix.  Serves as the independent cross-check of
     :func:`transform_generator`.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
     kappa = _kernel_matrix(ensemble, kernel, gamma)
     timed = np.exp(-1j * ensemble.Kvec) * kappa
     W = ladder_weights(ensemble.n)
-    return GeneratorMatrix(W @ timed @ W.T, TD, kernel)
+    return GeneratorMatrix(W @ timed @ W.T, TD)

@@ -144,13 +144,13 @@ def test_criterion_04_solver_cross_validation():
             worst = max(worst,
                         np.abs(traj_rk4.amplitudes[i] - expm_amp).max(),
                         np.abs(traj_eig.amplitudes[i] - expm_amp).max())
-        assert worst < 1e-6, f"{M.kernel}: solver discrepancy {worst:.3e}"
+        assert worst < 1e-6, f"{kernel}: solver discrepancy {worst:.3e}"
         ref = oracle_expm(M, beta0, 1.0).amplitudes
         errs = [np.abs(rk4_propagate(M, beta0, dt=dt, t_max=1.0).amplitudes[-1]
                        - ref).max() for dt in (0.02, 0.01)]
         order = math.log2(errs[0] / errs[1])
         orders.append(order)
-        assert 3.7 < order < 4.3, f"{M.kernel}: convergence order {order:.3f}"
+        assert 3.7 < order < 4.3, f"{kernel}: convergence order {order:.3f}"
     report(4, f"three solvers agree within {worst:.3e}; "
               f"RK4 orders {', '.join(f'{o:.2f}' for o in orders)}")
 

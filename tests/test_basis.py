@@ -155,7 +155,7 @@ class TestTransformGenerator:
         e = build_line(5, spacing=0.9)
         S = build_transform(e)
         gamma = 1.3
-        M = GeneratorMatrix(-gamma * np.eye(5), "fock", "sine")
+        M = GeneratorMatrix(-gamma * np.eye(5), "fock")
         td = transform_generator(S, M)
         np.testing.assert_allclose(td.matrix, -gamma * np.eye(5), atol=1e-14)
         assert td.basis == "td"

@@ -102,6 +102,8 @@ class TestParseConfig:
             ("tracked", "plus,zero", "tracked"),
             ("tracked", "plus,plus,1", "tracked index plus is repeated"),
             ("tracked", "2,3,minus", "tracked index 2 is repeated"),
+            ("init", "ladder:1", "init index must be at least 2"),
+            ("init", "section:1", "init index must be at least 2"),
         ]:
             with pytest.raises(ConfigError, match=hint):
                 parse_config({key: value})
@@ -352,6 +354,17 @@ class TestMainEntry:
         capsys.readouterr()
         assert main(["run", *base, *run_only, "--output", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == f"tdsim: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_spectrum_ignores_sections(self, tmp_path, capsys):
+        base = ["--geometry", "line", "--n", "3"]
+        plain, split = tmp_path / "plain.csv", tmp_path / "split.csv"
+        assert main(["spectrum", *base, "--output", str(plain)]) == 0
+        assert main(["spectrum", *base, "--sections", "5", "--output", str(split)]) == 0
+        assert split.read_text() == plain.read_text()
+        capsys.readouterr()
+        assert main(["run", *base, "--sections", "5", "--output", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "tdsim: cannot split 3 atoms into 5 sections\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_config_file_output_names_the_file(self, tmp_path, monkeypatch):

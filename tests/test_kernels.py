@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,23 @@ from tdsim import (
     build_transform,
     transform_generator,
 )
+from tdsim.kernels import KERNELS
+
+# the whole-array expressions of the kernels, diagonal set afterwards
+REFERENCE = {
+    "sine": lambda K, gamma: -gamma * np.sin(K) / K,
+    "exp": lambda K, gamma: 1j * gamma * np.exp(1j * K) / K,
+}
 
 
 @pytest.fixture(scope="module")
 def fig2_sphere():
     return build_sphere_lattice(3.0, 1.0, target_count=121)
+
+
+@pytest.fixture(scope="module")
+def line300():
+    return build_line(300, spacing=0.37)
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +138,42 @@ class TestTdDirectAssembly:
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="kernel"):
             assemble_td_direct(build_line(2), "cosine")
+
+
+class TestInPlaceAssembly:
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name", ["fig2_sphere", "line300"])
+    def test_bitwise_equal_to_whole_array_expression(self, kernel, gamma, name, request):
+        e = request.getfixturevalue(name)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = np.asarray(REFERENCE[kernel](e.K, gamma), dtype=complex)
+        np.fill_diagonal(ref, -gamma)
+        M = build_generator(e, kernel, gamma).matrix
+        # compared as bit patterns, so signed zeros count
+        assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_peak_memory_is_K_plus_M(self, kernel):
+        e = build_line(600, spacing=0.8)
+        tracemalloc.start()
+        try:
+            build_generator(e, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # K is 8 bytes per pair and M 16; anything else whole-matrix breaks the bound
+        assert peak <= 24 * e.n ** 2 + 2 ** 20
+
+    def test_bad_arguments_raise_before_K(self, monkeypatch):
+        e = build_line(4)
+
+        def no_K(self):
+            raise AssertionError("K was built")
+
+        monkeypatch.setattr(Ensemble, "K", property(no_K))
+        for build in (build_generator, assemble_td_direct):
+            with pytest.raises(ValueError, match="unknown kernel tag 'cosine'"):
+                build(e, "cosine")
+            with pytest.raises(ValueError, match="gamma must be positive, got 0"):
+                build(e, "sine", gamma=0)
