@@ -17,13 +17,16 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
-from .dynamics import Trajectory, propagate, step_indices
+from .dynamics import Trajectory, propagate, step_indices, step_operator
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import KERNELS, build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
@@ -35,6 +38,7 @@ __all__ = [
     "PRESETS",
     "parse_config",
     "simulate",
+    "simulate_runs",
     "render_csv",
     "run",
     "spectrum",
@@ -326,6 +330,8 @@ def _build_ensemble(config: RunConfig) -> Ensemble:
         ens = build_sphere_lattice(config.radius, config.spacing, config.k0_vec,
                                    config.target_count)
     if config.sections is not None:
+        if config.sections > ens.n:
+            raise ConfigError(f"cannot split {ens.n} atoms into {config.sections} sections")
         ens = partition_sections(ens, config.sections,
                                  _SECTION_AXES[config.section_axis])
     return ens
@@ -335,6 +341,8 @@ def _build_init(config: RunConfig, ensemble: Ensemble) -> AmplitudeState:
     if config.init == "plus":
         return plus_state(ensemble)
     kind, _, index = config.init.partition(":")
+    if kind == "ladder" and int(index) > ensemble.n:
+        raise ConfigError(f"ladder index must be in 2..{ensemble.n}, got {index}")
     build = ladder_state if kind == "ladder" else section_state
     return build(ensemble, int(index))
 
@@ -353,14 +361,31 @@ def _tracked_indices(config: RunConfig, n: int) -> list[int]:
     return indices
 
 
-def simulate(config: RunConfig) -> RunResult:
-    """Build -> propagate -> observe for one resolved run config."""
+# config fields that fix the generator; runs that share one also share their time grid
+_GENERATOR_FIELDS = ("geometry", "n", "radius", "spacing", "target_count", "k0_vec",
+                     "kernel", "gamma")
+_GRID_FIELDS = ("solver", "dt", "t_max", "stride")
+
+
+def _prepare(config: RunConfig):
+    """A run's checks and O(N) parts: checked config, ensemble, tracked indices, start."""
     config = _validate_config(config)
     ensemble = _build_ensemble(config)
-    tracked = _tracked_indices(config, ensemble.n)
-    init = _build_init(config, ensemble)
+    return config, ensemble, _tracked_indices(config, ensemble.n), _build_init(config, ensemble)
+
+
+def _step_operator(config: RunConfig, ensemble: Ensemble):
     generator = build_generator(ensemble, config.kernel, config.gamma)
-    traj = propagate(generator, init, config.dt, config.t_max, config.stride, config.solver)
+    return step_operator(generator, config.dt, config.t_max, config.stride, config.solver)
+
+
+def simulate(config: RunConfig, operator=None) -> RunResult:
+    """Build -> propagate -> observe for one resolved run config; ``operator`` is the
+    step operator of its generator and time grid where the caller has it already."""
+    config, ensemble, tracked, init = _prepare(config)
+    if operator is None:
+        operator = _step_operator(config, ensemble)
+    traj = propagate(operator, init, config.dt, config.t_max, config.stride, config.solver)
     td_traj = None
     columns: list[tuple[str, ObservableSeries]] = []
     if tracked:
@@ -375,6 +400,17 @@ def simulate(config: RunConfig) -> RunResult:
     columns.append(("total", total_excitation(traj)))
     return RunResult(config=replace(config, solver=traj.solver), ensemble=ensemble,
                      trajectory=traj, td_trajectory=td_traj, columns=columns)
+
+
+def simulate_runs(configs) -> Iterator[RunResult]:
+    """:func:`simulate` of each config; consecutive configs with one generator and time
+    grid share one step operator, built once every one of them has passed its checks."""
+    for _, group in groupby(configs, attrgetter(*_GENERATOR_FIELDS, *_GRID_FIELDS)):
+        group = list(group)
+        first, ensemble, *_ = [_prepare(config) for config in group][0]  # all checked
+        operator = _step_operator(first, ensemble)
+        yield from (simulate(config, operator) for config in group)
+        del operator  # before the next group builds its own
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +475,21 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
     return eig[np.lexsort((eig.imag, eig.real))]
 
 
+def _spectrum_tables(configs) -> Iterator[str]:
+    """The eigenvalue CSV of each config; consecutive configs with one generator share it."""
+    for _, group in groupby(configs, attrgetter(*_GENERATOR_FIELDS)):
+        group = list(group)
+        lines = [f"# {k} = {v}" for k, v in _echo_items(group[0], ["kernel", "gamma"])]
+        lines.append("index,real,imag")
+        for i, value in enumerate(spectrum_eigenvalues(group[0])):
+            lines.append(f"{i},{_fmt(value.real)},{_fmt(value.imag)}")
+        yield from ["\n".join(lines) + "\n"] * len(group)
+
+
 def spectrum(config: RunConfig, out_path) -> Path:
     """Write the TD-generator eigenvalue table as CSV to ``out_path``."""
-    eig = spectrum_eigenvalues(config)
-    lines = [f"# {k} = {v}" for k, v in _echo_items(config, ["kernel", "gamma"])]
-    lines.append("index,real,imag")
-    for i, value in enumerate(eig):
-        lines.append(f"{i},{_fmt(value.real)},{_fmt(value.imag)}")
     path = Path(out_path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(next(_spectrum_tables([config])), encoding="utf-8")
     return path
 
 
@@ -515,14 +557,18 @@ def main(argv=None) -> int:
                  if key in _CONVERTERS and value is not None}
         configs = parse_config({**flags, "preset": args.preset}, args.config,
                                run_checks=args.command == "run")
-        outs = [_default_out(args.command, args.preset, suffix, config.output)
+        outs = [Path(_default_out(args.command, args.preset, suffix, config.output))
                 for suffix, config in configs]
-        for out in map(Path, outs):  # checked before any run spends compute
+        for out in outs:  # checked before any run spends compute
             if not out.parent.is_dir():
                 raise ConfigError(f"cannot write {out}: {out.parent} is not a directory")
-        write = run if args.command == "run" else spectrum
-        for (_, config), out in zip(configs, outs):
-            print(write(config, out))
+        # consecutive configs that share a generator share its build (and its table)
+        configs = [config for _, config in configs]
+        texts = (map(render_csv, simulate_runs(configs)) if args.command == "run"
+                 else _spectrum_tables(configs))
+        for out, text in zip(outs, texts):
+            out.write_text(text, encoding="utf-8")
+            print(out)
         return 0
     except (ConfigError, OSError) as err:  # bad input, unreadable config, unwritable output
         print(f"tdsim: {err}", file=sys.stderr)

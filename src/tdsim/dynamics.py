@@ -8,8 +8,9 @@ of three independent routes, which must agree:
 * :func:`rk4_propagate` -- classical fixed-step Runge-Kutta 4, the
   reference method (default dt = 0.01 in units of 1/gamma).  For constant
   M a step is the Taylor polynomial P = sum_k (hM)^k/k!, k <= 4, so a run of
-  ``n_steps >= N`` builds P once (it paid for itself after 0.2-0.4 N steps
-  at N = 1000-3000) and takes one matvec per step; shorter runs take four;
+  ``n_steps >= N`` takes one matvec per step with P (it paid for itself after
+  0.2-0.4 N steps at N = 1000-3000); shorter runs take four.  Runs that share
+  a generator and a grid share P: :func:`step_operator` builds it once;
 * :func:`eigen_solve`  -- spectral solution beta(t) = sum_i c_i V_i e^{l_i t},
   exact in time, default for moderate N;
 * :func:`oracle_expm`  -- scaling-and-squaring matrix exponential with a
@@ -30,7 +31,9 @@ from .kernels import GeneratorMatrix
 __all__ = [
     "Trajectory",
     "EigenSolution",
+    "RK4StepMatrix",
     "propagate",
+    "step_operator",
     "DegenerateSpectrumError",
     "rk4_propagate",
     "eigen_decompose",
@@ -85,9 +88,18 @@ class EigenSolution:
     coefficients: np.ndarray
 
 
-def _resolve(generator, state0):
-    """Accept GeneratorMatrix/AmplitudeState or raw arrays; check tags."""
-    if isinstance(generator, GeneratorMatrix):
+@dataclass(frozen=True)
+class RK4StepMatrix:
+    """P with P @ beta one RK4 step of ``dt``, tagged with its generator's basis."""
+
+    matrix: np.ndarray
+    basis: str | None
+    dt: float
+
+
+def _resolve(generator, state0, tagged=(GeneratorMatrix,)):
+    """Accept ``tagged`` generators/AmplitudeState or raw arrays; check tags."""
+    if isinstance(generator, tagged):
         matrix, g_basis = generator.matrix, generator.basis
     else:
         matrix, g_basis = np.asarray(generator, dtype=complex), None
@@ -129,13 +141,16 @@ def step_indices(dt: float, t_max: float, stride: int = 1) -> np.ndarray:
     return np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
 
 
+def _method(solver: str, n: int) -> str:
+    return ("eigen" if n <= EIGEN_SOLVER_MAX_N else "rk4") if solver == "auto" else solver
+
+
 def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
               stride: int = 1, solver: str = "auto") -> Trajectory:
     """beta(t) every ``stride`` steps of ``dt`` up to ``t_max`` by ``solver``
-    (``auto``, ``rk4`` or ``eigen``); the trajectory's ``solver`` names the method."""
-    if solver == "auto":
-        n = np.shape(getattr(generator, "matrix", generator))[0]
-        solver = "eigen" if n <= EIGEN_SOLVER_MAX_N else "rk4"
+    (``auto``, ``rk4`` or ``eigen``); the trajectory's ``solver`` names the method.
+    ``generator`` may be its :func:`step_operator` for the same grid and solver."""
+    solver = _method(solver, np.shape(getattr(generator, "matrix", generator))[0])
     if solver == "rk4":
         return rk4_propagate(generator, state0, dt, t_max, stride)
     if solver == "eigen":
@@ -143,9 +158,21 @@ def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     raise ValueError(f"solver must be 'auto', 'rk4' or 'eigen', got {solver!r}")
 
 
-def _rk4_step(matrix, x, dt):
-    """One classical RK4 step of x' = M x; ``x`` is a vector or a column block."""
-    k1 = matrix @ x
+def step_operator(generator, dt: float = 0.01, t_max: float = 10.0, stride: int = 1,
+                  solver: str = "auto"):
+    """What :func:`propagate` steps with on this grid, for any number of runs: the
+    :class:`RK4StepMatrix` of an RK4 run of at least N steps, else the generator."""
+    matrix = getattr(generator, "matrix", generator)
+    n = np.shape(matrix)[0]
+    if _method(solver, n) != "rk4" or step_indices(dt, t_max, stride)[-1] < n:
+        return generator
+    P = _rk4_step_matrix(np.asarray(matrix, dtype=complex), dt)
+    return RK4StepMatrix(P, getattr(generator, "basis", None), dt)
+
+
+def _rk4_step(matrix, x, dt, k1=None):
+    """One classical RK4 step of x' = M x (``k1``: M x if known); ``x`` is a vector or block."""
+    k1 = matrix @ x if k1 is None else k1
     k2 = matrix @ (x + 0.5 * dt * k1)
     k3 = matrix @ (x + 0.5 * dt * k2)
     k4 = matrix @ (x + dt * k3)
@@ -154,32 +181,33 @@ def _rk4_step(matrix, x, dt):
 
 def _rk4_step_matrix(matrix, dt, block=64):
     """P with P @ x equal to one RK4 step: column j is the step applied to e_j,
-    built ``block`` identity columns at a time so no second N x N temporary exists."""
+    built ``block`` identity columns at a time so no second N x N temporary exists;
+    the first stage M e_j is column j of M itself."""
     n = matrix.shape[0]
     P = np.empty((n, n), dtype=complex)
     for j in range(0, n, block):
         cols = np.eye(n, min(block, n - j), -j, dtype=complex)
-        P[:, j:j + block] = _rk4_step(matrix, cols, dt)
+        P[:, j:j + block] = _rk4_step(matrix, cols, dt, matrix[:, j:j + block])
     return P
 
 
 def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
                   stride: int = 1) -> Trajectory:
-    """Fixed-step RK4 integration, snapshots every ``stride`` steps."""
-    matrix, beta0, basis = _resolve(generator, state0)
+    """Fixed-step RK4 integration, snapshots every ``stride`` steps; ``generator``
+    may be an :class:`RK4StepMatrix` built for this ``dt``."""
+    matrix, beta0, basis = _resolve(generator, state0, (GeneratorMatrix, RK4StepMatrix))
     keep = step_indices(dt, t_max, stride)
-    keep_set = set(keep.tolist())
+    if not isinstance(generator, RK4StepMatrix):
+        generator = step_operator(matrix, dt, t_max, stride, "rk4")
+    elif generator.dt != dt:
+        raise ValueError(f"step matrix was built for dt = {generator.dt!r}, not {dt!r}")
+    P = generator.matrix if isinstance(generator, RK4StepMatrix) else None
     out = np.empty((keep.size, beta0.size), dtype=complex)
-    out[0] = beta0
-    beta = beta0.copy()
-    n_steps = int(keep[-1])
-    P = _rk4_step_matrix(matrix, dt) if n_steps >= beta0.size else None
-    row = 1
-    for step in range(1, n_steps + 1):
-        beta = _rk4_step(matrix, beta, dt) if P is None else P @ beta
-        if step in keep_set:
-            out[row] = beta
-            row += 1
+    out[0] = beta = beta0
+    for row in range(1, keep.size):
+        for _ in range(keep[row] - keep[row - 1]):
+            beta = _rk4_step(matrix, beta, dt) if P is None else P @ beta
+        out[row] = beta
     return Trajectory(times=keep * dt, amplitudes=out, basis=basis, solver="rk4")
 
 

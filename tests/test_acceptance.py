@@ -3,9 +3,10 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.  The fig4 runs
 (N = 1000, RK4) dominate the runtime; everything is cached in
 module-scoped fixtures.  On a 2-vCPU Intel Xeon VM (Python 3.11, numpy
-2.4.6 with OpenBLAS) this module takes about 9 s, about 6 s of it in
-the fig4 fixture (the same six runs take 5.6 s through the CLI, median
-in ``BENCH_1.json``); the rest of the tier-1 suite adds about 4 s.
+2.4.6 with OpenBLAS) this module takes about 8.5 s, about 4.4 s of it in
+the fig4 fixture, which runs the six through ``simulate_runs`` as the CLI
+does (two generators, two RK4 step matrices; 4.2 s through the CLI,
+median in ``BENCH_3.json``); the rest of the tier-1 suite adds about 5 s.
 """
 
 import math
@@ -32,7 +33,7 @@ from tdsim import (
     total_excitation,
     transform_generator,
 )
-from tdsim.cli import parse_config, render_csv, resolve_configs, simulate
+from tdsim.cli import parse_config, render_csv, resolve_configs, simulate, simulate_runs
 
 GAMMA = 1.0
 
@@ -63,7 +64,9 @@ def fig3_result():
 
 @pytest.fixture(scope="module")
 def fig4_results():
-    return {suffix: simulate(config) for suffix, config in resolve_configs("fig4")}
+    runs = resolve_configs("fig4")  # the grouped path of `tdsim run --preset fig4`
+    results = simulate_runs(config for _, config in runs)
+    return {suffix: result for (suffix, _), result in zip(runs, results)}
 
 
 def geometry(n):

@@ -1,5 +1,7 @@
 import math
+import random
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +18,16 @@ from tdsim.cli import (
     resolve_configs,
     run,
     simulate,
+    simulate_runs,
     spectrum,
     spectrum_eigenvalues,
 )
 
 QUICK = dict(geometry="line", n="4", t_max="1.0", tracked="plus,2")
+# fig4's six runs on 60 atoms: 100 RK4 steps >= N, so each group builds a step matrix
+SMALL_FIG4 = dict(target_count=60, t_max=1.0, solver="rk4")
+SMALL_FIG4_FLAGS = ["--preset", "fig4", "--target-count", "60", "--t-max", "1.0",
+                    "--solver", "rk4"]
 
 
 def read_rows(path):
@@ -65,6 +72,28 @@ def no_oracles(monkeypatch):
     assert len(found) == len(oracles)
     monkeypatch.setattr(TDTransform, "S", property(refuse))
     monkeypatch.setattr(Ensemble, "Kvec", property(refuse))
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count generator builds, step-matrix builds and eigenvalue sets."""
+    import tdsim.dynamics
+
+    counts = {"generator": 0, "step_matrix": 0, "eigenvalues": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr("tdsim.cli.build_generator",
+                        counting("generator", tdsim.cli.build_generator))
+    monkeypatch.setattr(tdsim.dynamics, "_rk4_step_matrix",
+                        counting("step_matrix", tdsim.dynamics._rk4_step_matrix))
+    monkeypatch.setattr("tdsim.cli.spectrum_eigenvalues",
+                        counting("eigenvalues", tdsim.cli.spectrum_eigenvalues))
+    return counts
 
 
 class TestParseConfig:
@@ -363,9 +392,20 @@ class TestMainEntry:
         assert main(["spectrum", *base, "--sections", "5", "--output", str(split)]) == 0
         assert split.read_text() == plain.read_text()
         capsys.readouterr()
-        assert main(["run", *base, "--sections", "5", "--output", str(tmp_path / "x.csv")]) == 1
+        assert main(["run", *base, "--sections", "5", "--output", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err == "tdsim: cannot split 3 atoms into 5 sections\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--init", "ladder:5"], "ladder index must be in 2..3, got 5"),
+        (["--sections", "5"], "cannot split 3 atoms into 5 sections"),
+    ], ids=["ladder", "sections"])
+    def test_bad_init_index_or_section_count_exits_2_before_the_generator(
+            self, tmp_path, capsys, no_generator, flags, message):
+        out = tmp_path / "x.csv"
+        assert main(["run", "--geometry", "line", "--n", "3", *flags, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"tdsim: {message}\n"
+        assert not out.exists()
 
     def test_config_file_output_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -431,6 +471,62 @@ class TestMainEntry:
         for kernel in ("sine", "exp"):
             for tag in ("plus", "minus", "3"):
                 assert (tmp_path / f"fig4_{kernel}_{tag}.csv").exists()
+
+
+class TestGroupedRuns:
+    """One CLI call builds each distinct generator once: fig4's six runs use two."""
+
+    def test_fig4_builds_two_generators_and_two_step_matrices(self, tmp_path, capsys,
+                                                              counted):
+        argv = ["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]
+        assert main(argv) == 0
+        assert (counted["generator"], counted["step_matrix"]) == (2, 2)
+        assert main(argv) == 0  # nothing is kept from one call to the next
+        assert (counted["generator"], counted["step_matrix"]) == (4, 4)
+        suffixes = [suffix for suffix, _ in resolve_configs("fig4")]
+        assert capsys.readouterr().out.split() == [str(tmp_path / f"g_{s}.csv")
+                                                   for s in suffixes] * 2
+
+    def test_each_csv_equals_its_own_simulate(self, tmp_path, counted):
+        assert main(["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]) == 0
+        assert counted["generator"] == 2
+        for suffix, config in resolve_configs("fig4", flag_pairs=SMALL_FIG4):
+            alone = render_csv(simulate(config))
+            assert (tmp_path / f"g_{suffix}.csv").read_text() == alone
+
+    def test_simulate_runs_shares_one_generator_per_kernel(self, counted):
+        configs = [config for _, config in resolve_configs("fig4", flag_pairs=SMALL_FIG4)]
+        grouped = [render_csv(result) for result in simulate_runs(configs)]
+        assert (counted["generator"], counted["step_matrix"]) == (2, 2)
+        assert grouped == [render_csv(simulate(config)) for config in configs]
+
+    def test_spectrum_computes_two_eigenvalue_sets(self, tmp_path, counted):
+        argv = ["spectrum", "--preset", "fig4", "--target-count", "60"]
+        assert main([*argv, "--output", str(tmp_path / "s.csv")]) == 0
+        assert counted["eigenvalues"] == 2
+        for suffix, config in resolve_configs("fig4", flag_pairs={"target_count": 60},
+                                              run_checks=False):
+            alone = spectrum(config, tmp_path / "alone.csv").read_text()
+            assert (tmp_path / f"s_{suffix}.csv").read_text() == alone
+
+    def test_a_bad_member_fails_before_any_generator(self, tmp_path, capsys, no_generator):
+        # two atoms hold fig4's two sections but not its three
+        argv = ["run", "--preset", "fig4", "--target-count", "2", "--output",
+                str(tmp_path / "g.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "tdsim: cannot split 2 atoms into 3 sections\n"
+        assert not list(tmp_path.iterdir())
+
+    def test_grouped_csvs_pass_the_benchmark_output_gates(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench import checks
+
+        assert main(["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]) == 0
+        paths = capsys.readouterr().out.split()
+        parsed = [checks.check_run_csv(Path(p).read_text()) for p in paths]
+        assert len(parsed) == 6
+        checks.check_run_reference(parsed, random.Random(13), horizon=0.5)
 
 
 class TestRunConfigDefaults:

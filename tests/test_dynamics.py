@@ -8,6 +8,7 @@ from tdsim import (
     build_transform,
     eigen_decompose,
     eigen_solve,
+    ladder_state,
     oracle_expm,
     plus_state,
     propagate,
@@ -16,7 +17,8 @@ from tdsim import (
     transform_generator,
 )
 from tdsim.basis import AmplitudeState
-from tdsim.dynamics import DegenerateSpectrumError, Trajectory, step_indices
+from tdsim.dynamics import (DegenerateSpectrumError, RK4StepMatrix, Trajectory,
+                            step_indices, step_operator)
 
 
 def random_stable_matrix(rng, n):
@@ -214,6 +216,69 @@ class TestRK4StepMatrix:
         assert builds == [40]
         assert np.array_equal(long.times[:40], short.times)
         assert np.abs(long.amplitudes[:40] - short.amplitudes).max() < 1e-13
+
+
+class TestStepMatrixBuild:
+    """P takes RK4's first stage from M's columns: one product fewer per block than
+    applying the step to identity columns, with the same bytes."""
+
+    class CountingMatrix(np.ndarray):
+        products = 0
+
+        def __matmul__(self, other):
+            type(self).products += 1
+            return np.asarray(self) @ other
+
+    @staticmethod
+    def product_built(matrix, dt, block=64):
+        """The step applied to every identity block, first stage included."""
+        import tdsim.dynamics as dynamics
+
+        n = matrix.shape[0]
+        P = np.empty((n, n), dtype=complex)
+        for j in range(0, n, block):
+            cols = np.eye(n, min(block, n - j), -j, dtype=complex)
+            P[:, j:j + block] = dynamics._rk4_step(matrix, cols, dt)
+        return P
+
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    @pytest.mark.parametrize("geometry", ["fig2_sphere", "line_300"])
+    def test_bytes_equal_the_product_build_with_three_products_per_block(self, kernel,
+                                                                          geometry):
+        import tdsim.dynamics as dynamics
+
+        e = (build_sphere_lattice(3.0, 1.0, target_count=121) if geometry == "fig2_sphere"
+             else build_line(300, spacing=0.37))
+        M = build_generator(e, kernel).matrix
+        counted = M.view(self.CountingMatrix)
+        self.CountingMatrix.products = 0
+        P = dynamics._rk4_step_matrix(counted, 0.01)
+        blocks = -(-e.n // 64)
+        assert self.CountingMatrix.products == 3 * blocks
+        ref = self.product_built(M, 0.01)
+        assert np.array_equal(P, ref)
+        assert P.tobytes() == ref.tobytes()  # signed zeros included
+
+
+class TestStepOperator:
+    """A run of at least N RK4 steps may be handed the step matrix P in place of M."""
+
+    def test_shared_step_matrix_reproduces_each_run(self):
+        e = build_sphere_lattice(3.0, 1.0, target_count=40)
+        M = build_generator(e, "exp")
+        operator = step_operator(M, 0.05, 2.0, 1, "rk4")
+        assert isinstance(operator, RK4StepMatrix) and operator.dt == 0.05
+        for start in (plus_state(e), ladder_state(e, 2)):
+            shared = propagate(operator, start, 0.05, 2.0, 1, "rk4")
+            alone = propagate(M, start, 0.05, 2.0, 1, "rk4")
+            assert np.array_equal(shared.amplitudes, alone.amplitudes)
+        with pytest.raises(ValueError, match="built for dt = 0.05, not 0.1"):
+            rk4_propagate(operator, plus_state(e), 0.1, 2.0)
+
+    @pytest.mark.parametrize("t_max,solver", [(1.95, "rk4"), (2.0, "eigen"), (2.0, "auto")])
+    def test_generator_itself_when_no_step_matrix_is_due(self, t_max, solver):
+        M = build_generator(build_sphere_lattice(3.0, 1.0, target_count=40), "sine")
+        assert step_operator(M, 0.05, t_max, 1, solver) is M  # 39 steps, or eigen
 
 
 class TestPropagate:
