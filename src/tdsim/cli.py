@@ -247,11 +247,16 @@ def read_config_file(path) -> dict:
     return pairs
 
 
-def _validate_config(config: RunConfig) -> RunConfig:
+def _checked(build, *args):
+    """``build(*args)``, with the ``ValueError`` of an out-of-range value as a ConfigError."""
     try:
-        step_indices(config.dt, config.t_max, config.stride)
+        return build(*args)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+
+
+def _validate_config(config: RunConfig) -> RunConfig:
+    _checked(step_indices, config.dt, config.t_max, config.stride)
     if config.init.startswith("section:"):
         m = int(config.init.split(":", 1)[1])
         if config.sections is None:
@@ -325,15 +330,13 @@ _SECTION_AXES = {"k0": None, "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0),
 
 def _build_ensemble(config: RunConfig) -> Ensemble:
     if config.geometry == "line":
-        ens = build_line(config.n, config.spacing, config.k0_vec)
+        ens = _checked(build_line, config.n, config.spacing, config.k0_vec)
     else:
-        ens = build_sphere_lattice(config.radius, config.spacing, config.k0_vec,
-                                   config.target_count)
+        ens = _checked(build_sphere_lattice, config.radius, config.spacing, config.k0_vec,
+                       config.target_count)
     if config.sections is not None:
-        if config.sections > ens.n:
-            raise ConfigError(f"cannot split {ens.n} atoms into {config.sections} sections")
-        ens = partition_sections(ens, config.sections,
-                                 _SECTION_AXES[config.section_axis])
+        ens = _checked(partition_sections, ens, config.sections,
+                       _SECTION_AXES[config.section_axis])
     return ens
 
 
@@ -341,10 +344,8 @@ def _build_init(config: RunConfig, ensemble: Ensemble) -> AmplitudeState:
     if config.init == "plus":
         return plus_state(ensemble)
     kind, _, index = config.init.partition(":")
-    if kind == "ladder" and int(index) > ensemble.n:
-        raise ConfigError(f"ladder index must be in 2..{ensemble.n}, got {index}")
     build = ladder_state if kind == "ladder" else section_state
-    return build(ensemble, int(index))
+    return _checked(build, ensemble, int(index))
 
 
 def _tracked_indices(config: RunConfig, n: int) -> list[int]:
@@ -361,10 +362,10 @@ def _tracked_indices(config: RunConfig, n: int) -> list[int]:
     return indices
 
 
-# config fields that fix the generator; runs that share one also share their time grid
+# config fields that fix the generator, and with the time grid its step operator
 _GENERATOR_FIELDS = ("geometry", "n", "radius", "spacing", "target_count", "k0_vec",
                      "kernel", "gamma")
-_GRID_FIELDS = ("solver", "dt", "t_max", "stride")
+_operator_key = attrgetter(*_GENERATOR_FIELDS, "solver", "dt", "t_max", "stride")
 
 
 def _prepare(config: RunConfig):
@@ -379,10 +380,10 @@ def _step_operator(config: RunConfig, ensemble: Ensemble):
     return step_operator(generator, config.dt, config.t_max, config.stride, config.solver)
 
 
-def simulate(config: RunConfig, operator=None) -> RunResult:
-    """Build -> propagate -> observe for one resolved run config; ``operator`` is the
-    step operator of its generator and time grid where the caller has it already."""
-    config, ensemble, tracked, init = _prepare(config)
+def simulate(config: RunConfig | tuple, operator=None) -> RunResult:
+    """Build -> propagate -> observe for one resolved run config, or for its :func:`_prepare`
+    parts; ``operator`` is the step operator of its generator and time grid, if known."""
+    config, ensemble, tracked, init = config if isinstance(config, tuple) else _prepare(config)
     if operator is None:
         operator = _step_operator(config, ensemble)
     traj = propagate(operator, init, config.dt, config.t_max, config.stride, config.solver)
@@ -403,13 +404,13 @@ def simulate(config: RunConfig, operator=None) -> RunResult:
 
 
 def simulate_runs(configs) -> Iterator[RunResult]:
-    """:func:`simulate` of each config; consecutive configs with one generator and time
-    grid share one step operator, built once every one of them has passed its checks."""
-    for _, group in groupby(configs, attrgetter(*_GENERATOR_FIELDS, *_GRID_FIELDS)):
+    """:func:`simulate` of each config, all prepared before any generator is built;
+    consecutive configs with one generator and time grid share one step operator."""
+    runs = [_prepare(config) for config in configs]
+    for _, group in groupby(runs, lambda run: _operator_key(run[0])):
         group = list(group)
-        first, ensemble, *_ = [_prepare(config) for config in group][0]  # all checked
-        operator = _step_operator(first, ensemble)
-        yield from (simulate(config, operator) for config in group)
+        operator = _step_operator(*group[0][:2])
+        yield from (simulate(run, operator) for run in group)
         del operator  # before the next group builds its own
 
 
@@ -570,12 +571,10 @@ def main(argv=None) -> int:
             out.write_text(text, encoding="utf-8")
             print(out)
         return 0
-    except (ConfigError, OSError) as err:  # bad input, unreadable config, unwritable output
+    except (ValueError, OSError, OverflowError, RuntimeError, MemoryError) as err:
         print(f"tdsim: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, RuntimeError) as err:
-        print(f"tdsim: {err}", file=sys.stderr)
-        return 1
+        # 2: bad input, unreadable config, unwritable output; 1: numerics or memory failed
+        return 2 if isinstance(err, (ConfigError, OSError)) else 1
 
 
 if __name__ == "__main__":

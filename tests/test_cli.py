@@ -76,7 +76,7 @@ def no_oracles(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count generator builds, step-matrix builds and eigenvalue sets."""
+    """Count generator, step-matrix and eigenvalue-set builds, and the O(N) builds."""
     import tdsim.dynamics
 
     counts = {"generator": 0, "step_matrix": 0, "eigenvalues": 0}
@@ -87,6 +87,10 @@ def counted(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    for name in ("build_sphere_lattice", "partition_sections", "section_state",
+                 "plus_state"):
+        counts[name] = 0
+        monkeypatch.setattr(f"tdsim.cli.{name}", counting(name, getattr(tdsim.cli, name)))
     monkeypatch.setattr("tdsim.cli.build_generator",
                         counting("generator", tdsim.cli.build_generator))
     monkeypatch.setattr(tdsim.dynamics, "_rk4_step_matrix",
@@ -348,11 +352,23 @@ class TestMainEntry:
         assert code == 2
         assert "n" in capsys.readouterr().err
 
-    def test_run_infeasible_geometry(self, tmp_path, capsys):
-        code = main(["run", "--geometry", "sphere", "--radius", "1.0",
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    def test_run_infeasible_geometry(self, tmp_path, capsys, no_generator, command):
+        code = main([command, "--geometry", "sphere", "--radius", "1.0",
                      "--target-count", "999", "--output", str(tmp_path / "x.csv")])
-        assert code == 1
+        assert code == 2
         assert "target_count" in capsys.readouterr().err
+
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 58.2 TiB for an array")
+
+        monkeypatch.setattr("tdsim.cli.build_sphere_lattice", refuse)
+        code = main(["run", "--geometry", "sphere", "--radius", "1e4",
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == "tdsim: Unable to allocate 58.2 TiB for an array\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_spectrum_subcommand(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -486,6 +502,18 @@ class TestGroupedRuns:
         suffixes = [suffix for suffix, _ in resolve_configs("fig4")]
         assert capsys.readouterr().out.split() == [str(tmp_path / f"g_{s}.csv")
                                                    for s in suffixes] * 2
+
+    def test_each_member_is_prepared_once(self, tmp_path, counted):
+        assert main(["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]) == 0
+        builds = ("build_sphere_lattice", "partition_sections", "section_state",
+                  "plus_state", "generator", "step_matrix")
+        assert [counted[name] for name in builds] == [6, 4, 4, 2, 2, 2]
+
+    def test_the_whole_call_is_checked_before_any_generator(self, no_generator):
+        ok_sine = RunConfig(n=3)
+        bad_exp = RunConfig(n=3, kernel="exp", init="ladder:5")
+        with pytest.raises(ConfigError, match=r"^ladder index must be in 2\.\.3, got 5$"):
+            list(simulate_runs([ok_sine, bad_exp]))
 
     def test_each_csv_equals_its_own_simulate(self, tmp_path, counted):
         assert main(["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]) == 0
