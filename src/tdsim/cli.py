@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
-from .dynamics import Trajectory, propagate, step_indices, step_operator
+from .dynamics import SOLVERS, Trajectory, propagate, step_indices, step_operator
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import KERNELS, build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
@@ -202,6 +202,10 @@ def _parse_tracked(text):
     return ",".join(canonical)
 
 
+_SECTION_AXES = {"k0": None, "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0),
+                 "z": (0.0, 0.0, 1.0)}
+
+
 _CONVERTERS = {
     "geometry": _parse_choice("geometry", {"line", "sphere"}),
     "n": _parse_number("n", int),
@@ -210,10 +214,10 @@ _CONVERTERS = {
     "target_count": _parse_number("target_count", int, optional=True),
     "k0_vec": _parse_k0_vec,
     "sections": _parse_number("sections", int, optional=True),
-    "section_axis": _parse_choice("section_axis", {"k0", "x", "y", "z"}),
+    "section_axis": _parse_choice("section_axis", _SECTION_AXES),
     "kernel": _parse_choice("kernel", KERNELS),
     "init": _parse_init,
-    "solver": _parse_choice("solver", {"auto", "rk4", "eigen"}),
+    "solver": _parse_choice("solver", SOLVERS),
     "dt": _parse_number("dt"),
     "t_max": _parse_number("t_max", nonneg=True),
     "stride": _parse_number("stride", int),
@@ -255,25 +259,10 @@ def _checked(build, *args):
         raise ConfigError(str(err)) from None
 
 
-def _validate_config(config: RunConfig) -> RunConfig:
-    _checked(step_indices, config.dt, config.t_max, config.stride)
-    if config.init.startswith("section:"):
-        m = int(config.init.split(":", 1)[1])
-        if config.sections is None:
-            raise ConfigError("init 'section:m' requires the sections key")
-        if m > config.sections:
-            raise ConfigError(
-                f"init {config.init!r} needs at least {m} sections, "
-                f"config has {config.sections}"
-            )
-    return config
-
-
 def resolve_configs(preset: str | None = None, file_pairs: dict | None = None,
-                    flag_pairs: dict | None = None,
-                    run_checks: bool = True) -> list[tuple[str, RunConfig]]:
+                    flag_pairs: dict | None = None) -> list[tuple[str, RunConfig]]:
     """Merge defaults, preset, file and flags into resolved (suffix, config) runs;
-    ``run_checks=False`` skips the checks only a run needs (time grid, section init)."""
+    what only a run needs (time grid, start state) is checked when it is prepared."""
     flag_pairs = dict(flag_pairs or {})
     file_pairs = dict(file_pairs or {})
     overrides = {**file_pairs, **flag_pairs}
@@ -296,19 +285,17 @@ def resolve_configs(preset: str | None = None, file_pairs: dict | None = None,
     for run_dict in runs:
         merged = {k: _convert(k, v) for k, v in run_dict.items() if k != "_suffix"}
         merged.update(overrides)
-        config = replace(RunConfig(), **merged)
-        config = _validate_config(config) if run_checks else config
-        resolved.append((run_dict.get("_suffix", ""), config))
+        resolved.append((run_dict.get("_suffix", ""), replace(RunConfig(), **merged)))
     return resolved
 
 
-def parse_config(args=None, file=None, run_checks=True) -> list[tuple[str, RunConfig]]:
+def parse_config(args=None, file=None) -> list[tuple[str, RunConfig]]:
     """Resolve a mapping of config keys (plus an optional ``preset``) over a config file."""
     args = dict(args or {})
     preset = args.pop("preset", None)
     flags = {k: _convert(k, v) for k, v in args.items()}
     file_pairs = read_config_file(file) if file else {}
-    return resolve_configs(preset, file_pairs, flags, run_checks)
+    return resolve_configs(preset, file_pairs, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +309,6 @@ class RunResult:
     trajectory: Trajectory  # fock basis
     td_trajectory: Trajectory | None
     columns: list
-
-
-_SECTION_AXES = {"k0": None, "x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0),
-                 "z": (0.0, 0.0, 1.0)}
 
 
 def _build_ensemble(config: RunConfig) -> Ensemble:
@@ -344,6 +327,8 @@ def _build_init(config: RunConfig, ensemble: Ensemble) -> AmplitudeState:
     if config.init == "plus":
         return plus_state(ensemble)
     kind, _, index = config.init.partition(":")
+    if kind == "section" and config.sections is None:
+        raise ConfigError("init 'section:m' requires the sections key")
     build = ladder_state if kind == "ladder" else section_state
     return _checked(build, ensemble, int(index))
 
@@ -369,8 +354,8 @@ _operator_key = attrgetter(*_GENERATOR_FIELDS, "solver", "dt", "t_max", "stride"
 
 
 def _prepare(config: RunConfig):
-    """A run's checks and O(N) parts: checked config, ensemble, tracked indices, start."""
-    config = _validate_config(config)
+    """A run's checks and O(N) parts: config, ensemble, tracked indices, start state."""
+    _checked(step_indices, config.dt, config.t_max, config.stride)
     ensemble = _build_ensemble(config)
     return config, ensemble, _tracked_indices(config, ensemble.n), _build_init(config, ensemble)
 
@@ -556,8 +541,7 @@ def main(argv=None) -> int:
     try:
         flags = {key: value for key, value in vars(args).items()
                  if key in _CONVERTERS and value is not None}
-        configs = parse_config({**flags, "preset": args.preset}, args.config,
-                               run_checks=args.command == "run")
+        configs = parse_config({**flags, "preset": args.preset}, args.config)
         outs = [Path(_default_out(args.command, args.preset, suffix, config.output))
                 for suffix, config in configs]
         for out in outs:  # checked before any run spends compute

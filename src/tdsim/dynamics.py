@@ -44,6 +44,7 @@ __all__ = [
 
 EIGEN_COND_LIMIT = 1e12
 EIGEN_SOLVER_MAX_N = 500  # solver "auto": eigen up to this N, rk4 above
+SOLVERS = ("auto", "rk4", "eigen")
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -148,14 +149,16 @@ def _method(solver: str, n: int) -> str:
 def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
               stride: int = 1, solver: str = "auto") -> Trajectory:
     """beta(t) every ``stride`` steps of ``dt`` up to ``t_max`` by ``solver``
-    (``auto``, ``rk4`` or ``eigen``); the trajectory's ``solver`` names the method.
+    (one of ``SOLVERS``); the trajectory's ``solver`` names the method.
     ``generator`` may be its :func:`step_operator` for the same grid and solver."""
+    if solver not in SOLVERS:
+        raise ValueError(f"solver must be one of {list(SOLVERS)}, got {solver!r}")
     solver = _method(solver, np.shape(getattr(generator, "matrix", generator))[0])
     if solver == "rk4":
         return rk4_propagate(generator, state0, dt, t_max, stride)
-    if solver == "eigen":
-        return eigen_solve(generator, state0, step_indices(dt, t_max, stride) * dt)
-    raise ValueError(f"solver must be 'auto', 'rk4' or 'eigen', got {solver!r}")
+    if isinstance(generator, RK4StepMatrix):
+        raise ValueError("an RK4 step matrix can only be propagated by rk4, not eigen")
+    return eigen_solve(generator, state0, step_indices(dt, t_max, stride) * dt)
 
 
 def step_operator(generator, dt: float = 0.01, t_max: float = 10.0, stride: int = 1,

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -141,11 +142,22 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=hint):
                 parse_config({key: value})
 
-    def test_section_init_requires_sections(self):
+    def test_section_init_requires_sections(self, no_generator):
+        [(_, config)] = parse_config({"init": "section:2"})
         with pytest.raises(ConfigError, match="sections"):
-            parse_config({"init": "section:2"})
+            list(simulate_runs([config]))
         [(_, config)] = parse_config({"init": "section:2", "sections": "2", "n": "4"})
         assert config.sections == 2
+
+    @pytest.mark.parametrize("pairs,message", [
+        ({"t_max": "1.0", "dt": "0.3"}, "t_max = 1.0 is not an integer multiple of dt = 0.3"),
+        ({"init": "section:2"}, "init 'section:m' requires the sections key"),
+        ({"init": "section:3", "sections": "2"}, "section state index must be in 2..2, got 3"),
+    ], ids=["grid", "section_init", "section_index"])
+    def test_only_a_run_rejects_run_only_keys(self, no_generator, pairs, message):
+        [(_, config)] = parse_config({"geometry": "line", "n": "4", **pairs})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            list(simulate_runs([config]))
 
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -532,8 +544,7 @@ class TestGroupedRuns:
         argv = ["spectrum", "--preset", "fig4", "--target-count", "60"]
         assert main([*argv, "--output", str(tmp_path / "s.csv")]) == 0
         assert counted["eigenvalues"] == 2
-        for suffix, config in resolve_configs("fig4", flag_pairs={"target_count": 60},
-                                              run_checks=False):
+        for suffix, config in resolve_configs("fig4", flag_pairs={"target_count": 60}):
             alone = spectrum(config, tmp_path / "alone.csv").read_text()
             assert (tmp_path / f"s_{suffix}.csv").read_text() == alone
 

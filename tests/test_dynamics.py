@@ -280,6 +280,13 @@ class TestStepOperator:
         M = build_generator(build_sphere_lattice(3.0, 1.0, target_count=40), "sine")
         assert step_operator(M, 0.05, t_max, 1, solver) is M  # 39 steps, or eigen
 
+    @pytest.mark.parametrize("solver", ["auto", "eigen"])
+    def test_a_step_matrix_given_to_the_eigen_solver_is_rejected(self, solver):
+        e = build_sphere_lattice(3.0, 1.0, target_count=40)
+        operator = step_operator(build_generator(e, "exp"), 0.05, 2.0, 1, "rk4")
+        with pytest.raises(ValueError, match="step matrix"):
+            propagate(operator, plus_state(e), 0.05, 2.0, 1, solver)
+
 
 class TestPropagate:
     DT, T_MAX, STRIDE = 0.01, 0.05, 2
