@@ -2,10 +2,10 @@
 
 Builds line and spherical-lattice ensembles, assembles the sine- and
 exponential-kernel decay generators for the single-excitation amplitudes,
-transforms between the Fock and timed-Dicke bases, propagates by RK4 or
-eigendecomposition, and reduces trajectories to populations, transfer
-curves and decay times.  The ``tdsim`` CLI exposes figure presets that
-emit CSV trajectories.
+transforms between the Fock and timed-Dicke bases, propagates by RK4,
+eigendecomposition or Krylov projection, and reduces trajectories to
+populations, transfer curves and decay times.  The ``tdsim`` CLI exposes
+figure presets that emit CSV trajectories.
 """
 
 from .basis import (
@@ -24,6 +24,7 @@ from .dynamics import (
     Trajectory,
     eigen_decompose,
     eigen_solve,
+    krylov_propagate,
     oracle_expm,
     propagate,
     rk4_propagate,
@@ -64,6 +65,7 @@ __all__ = [
     "eigen_decompose",
     "eigen_solve",
     "fa_transfer",
+    "krylov_propagate",
     "ladder_state",
     "oracle_expm",
     "partition_sections",

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
-from .dynamics import SOLVERS, Trajectory, propagate, step_indices, step_operator
+from .dynamics import SOLVERS, Trajectory, propagate, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import KERNELS, build_generator
 from .observables import ObservableSeries, populations, state_population, total_excitation
@@ -167,7 +167,7 @@ def _parse_k0_vec(text):
         vec = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"k0_vec needs three comma-separated numbers, got {text!r}") from None
-    if not all(math.isfinite(v) for v in vec) or sum(v * v for v in vec) <= 0:
+    if not 0 < math.hypot(*vec) < math.inf:
         raise ConfigError(f"k0_vec must be finite with positive norm, got {text!r}")
     return vec
 
@@ -347,10 +347,9 @@ def _tracked_indices(config: RunConfig, n: int) -> list[int]:
     return indices
 
 
-# config fields that fix the generator, and with the time grid its step operator
-_GENERATOR_FIELDS = ("geometry", "n", "radius", "spacing", "target_count", "k0_vec",
-                     "kernel", "gamma")
-_operator_key = attrgetter(*_GENERATOR_FIELDS, "solver", "dt", "t_max", "stride")
+# config fields that fix the generator
+_generator_key = attrgetter("geometry", "n", "radius", "spacing", "target_count", "k0_vec",
+                            "kernel", "gamma")
 
 
 def _prepare(config: RunConfig):
@@ -360,18 +359,13 @@ def _prepare(config: RunConfig):
     return config, ensemble, _tracked_indices(config, ensemble.n), _build_init(config, ensemble)
 
 
-def _step_operator(config: RunConfig, ensemble: Ensemble):
-    generator = build_generator(ensemble, config.kernel, config.gamma)
-    return step_operator(generator, config.dt, config.t_max, config.stride, config.solver)
-
-
-def simulate(config: RunConfig | tuple, operator=None) -> RunResult:
+def simulate(config: RunConfig | tuple, generator=None) -> RunResult:
     """Build -> propagate -> observe for one resolved run config, or for its :func:`_prepare`
-    parts; ``operator`` is the step operator of its generator and time grid, if known."""
+    parts; ``generator`` is its generator, if already built."""
     config, ensemble, tracked, init = config if isinstance(config, tuple) else _prepare(config)
-    if operator is None:
-        operator = _step_operator(config, ensemble)
-    traj = propagate(operator, init, config.dt, config.t_max, config.stride, config.solver)
+    if generator is None:
+        generator = build_generator(ensemble, config.kernel, config.gamma)
+    traj = propagate(generator, init, config.dt, config.t_max, config.stride, config.solver)
     td_traj = None
     columns: list[tuple[str, ObservableSeries]] = []
     if tracked:
@@ -390,13 +384,14 @@ def simulate(config: RunConfig | tuple, operator=None) -> RunResult:
 
 def simulate_runs(configs) -> Iterator[RunResult]:
     """:func:`simulate` of each config, all prepared before any generator is built;
-    consecutive configs with one generator and time grid share one step operator."""
+    consecutive configs with one generator share its build."""
     runs = [_prepare(config) for config in configs]
-    for _, group in groupby(runs, lambda run: _operator_key(run[0])):
+    for _, group in groupby(runs, lambda run: _generator_key(run[0])):
         group = list(group)
-        operator = _step_operator(*group[0][:2])
-        yield from (simulate(run, operator) for run in group)
-        del operator  # before the next group builds its own
+        config, ensemble = group[0][:2]
+        generator = build_generator(ensemble, config.kernel, config.gamma)
+        yield from (simulate(run, generator) for run in group)
+        del generator  # before the next group builds its own
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +458,7 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
 
 def _spectrum_tables(configs) -> Iterator[str]:
     """The eigenvalue CSV of each config; consecutive configs with one generator share it."""
-    for _, group in groupby(configs, attrgetter(*_GENERATOR_FIELDS)):
+    for _, group in groupby(configs, _generator_key):
         group = list(group)
         lines = [f"# {k} = {v}" for k, v in _echo_items(group[0], ["kernel", "gamma"])]
         lines.append("index,real,imag")

@@ -2,19 +2,15 @@
 
 :func:`step_indices` owns the time-grid rule (``t_max`` a multiple of ``dt``).
 :func:`propagate` is a run's one entry point: it holds the ``auto`` rule
-(eigen for N <= ``EIGEN_SOLVER_MAX_N``, RK4 above) and dispatches to two
+(eigen for N <= ``EIGEN_SOLVER_MAX_N``, Krylov above) and dispatches to one
 of three independent routes, which must agree:
 
-* :func:`rk4_propagate` -- classical fixed-step Runge-Kutta 4, the
-  reference method (default dt = 0.01 in units of 1/gamma).  For constant
-  M a step is the Taylor polynomial P = sum_k (hM)^k/k!, k <= 4, so a run of
-  ``n_steps >= N`` takes one matvec per step with P (it paid for itself after
-  0.2-0.4 N steps at N = 1000-3000); shorter runs take four.  Runs that share
-  a generator and a grid share P: :func:`step_operator` builds it once;
-* :func:`eigen_solve`  -- spectral solution beta(t) = sum_i c_i V_i e^{l_i t},
-  exact in time, default for moderate N;
-* :func:`oracle_expm`  -- scaling-and-squaring matrix exponential with a
-  truncated-series core, written independently of the other two and used
+* :func:`rk4_propagate`    -- classical fixed-step Runge-Kutta 4, the
+  reference method (default dt = 0.01 in units of 1/gamma);
+* :func:`eigen_solve`      -- spectral solution beta(t) = sum_i c_i V_i e^{l_i t};
+* :func:`krylov_propagate` -- Arnoldi bases checked by Saad's error estimate;
+* :func:`oracle_expm`      -- scaling-and-squaring matrix exponential with a
+  truncated-series core, written independently of the others and used
   only as a verification oracle.
 """
 
@@ -31,11 +27,10 @@ from .kernels import GeneratorMatrix
 __all__ = [
     "Trajectory",
     "EigenSolution",
-    "RK4StepMatrix",
     "propagate",
-    "step_operator",
     "DegenerateSpectrumError",
     "rk4_propagate",
+    "krylov_propagate",
     "eigen_decompose",
     "eigen_solve",
     "oracle_expm",
@@ -43,8 +38,11 @@ __all__ = [
 ]
 
 EIGEN_COND_LIMIT = 1e12
-EIGEN_SOLVER_MAX_N = 500  # solver "auto": eigen up to this N, rk4 above
-SOLVERS = ("auto", "rk4", "eigen")
+EIGEN_SOLVER_MAX_N = 500  # solver "auto": eigen up to this N, krylov above
+SOLVERS = ("auto", "rk4", "eigen", "krylov")
+KRYLOV_TOL = 1e-10  # bound on each Krylov row's error estimate, relative to |beta(0)|
+KRYLOV_MAX_DIM = 160  # Arnoldi vectors in one basis; past it the basis restarts
+_KRYLOV_CHECK = 8  # vectors added between error estimates
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -61,12 +59,10 @@ class Trajectory:
     solver: str = "unknown"
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = _time_grid(self.times)
         a = np.asarray(self.amplitudes, dtype=complex)
-        if t.ndim != 1 or a.ndim != 2 or a.shape[0] != t.shape[0]:
+        if np.ndim(self.times) != 1 or a.ndim != 2 or a.shape[0] != t.shape[0]:
             raise ValueError("times and amplitude snapshots must align")
-        if t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-            raise ValueError("times must be strictly increasing and start at 0")
         if not np.all(np.isfinite(a)):
             raise ValueError("trajectory snapshots must be finite")
         object.__setattr__(self, "times", t)
@@ -89,18 +85,9 @@ class EigenSolution:
     coefficients: np.ndarray
 
 
-@dataclass(frozen=True)
-class RK4StepMatrix:
-    """P with P @ beta one RK4 step of ``dt``, tagged with its generator's basis."""
-
-    matrix: np.ndarray
-    basis: str | None
-    dt: float
-
-
-def _resolve(generator, state0, tagged=(GeneratorMatrix,)):
-    """Accept ``tagged`` generators/AmplitudeState or raw arrays; check tags."""
-    if isinstance(generator, tagged):
+def _resolve(generator, state0):
+    """Accept GeneratorMatrix/AmplitudeState or raw arrays; check tags."""
+    if isinstance(generator, GeneratorMatrix):
         matrix, g_basis = generator.matrix, generator.basis
     else:
         matrix, g_basis = np.asarray(generator, dtype=complex), None
@@ -126,6 +113,13 @@ def _resolve(generator, state0, tagged=(GeneratorMatrix,)):
     return matrix, beta0, basis
 
 
+def _time_grid(times) -> np.ndarray:
+    t = np.asarray(times, dtype=float).reshape(-1)
+    if t.size < 1 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
+        raise ValueError("times must be strictly increasing and start at 0")
+    return t
+
+
 def step_indices(dt: float, t_max: float, stride: int = 1) -> np.ndarray:
     """Every ``stride``-th step index of a ``dt`` grid plus the last, which
     lands on ``t_max``: that must be an integer multiple of ``dt`` (1e-9 rel)."""
@@ -142,76 +136,86 @@ def step_indices(dt: float, t_max: float, stride: int = 1) -> np.ndarray:
     return np.unique(np.append(np.arange(0, n_steps + 1, stride), n_steps))
 
 
-def _method(solver: str, n: int) -> str:
-    return ("eigen" if n <= EIGEN_SOLVER_MAX_N else "rk4") if solver == "auto" else solver
-
-
 def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
               stride: int = 1, solver: str = "auto") -> Trajectory:
     """beta(t) every ``stride`` steps of ``dt`` up to ``t_max`` by ``solver``
-    (one of ``SOLVERS``); the trajectory's ``solver`` names the method.
-    ``generator`` may be its :func:`step_operator` for the same grid and solver."""
+    (one of ``SOLVERS``); the trajectory's ``solver`` names the method."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {list(SOLVERS)}, got {solver!r}")
-    solver = _method(solver, np.shape(getattr(generator, "matrix", generator))[0])
+    if solver == "auto":
+        n = np.shape(getattr(generator, "matrix", generator))[0]
+        solver = "eigen" if n <= EIGEN_SOLVER_MAX_N else "krylov"
     if solver == "rk4":
         return rk4_propagate(generator, state0, dt, t_max, stride)
-    if isinstance(generator, RK4StepMatrix):
-        raise ValueError("an RK4 step matrix can only be propagated by rk4, not eigen")
-    return eigen_solve(generator, state0, step_indices(dt, t_max, stride) * dt)
-
-
-def step_operator(generator, dt: float = 0.01, t_max: float = 10.0, stride: int = 1,
-                  solver: str = "auto"):
-    """What :func:`propagate` steps with on this grid, for any number of runs: the
-    :class:`RK4StepMatrix` of an RK4 run of at least N steps, else the generator."""
-    matrix = getattr(generator, "matrix", generator)
-    n = np.shape(matrix)[0]
-    if _method(solver, n) != "rk4" or step_indices(dt, t_max, stride)[-1] < n:
-        return generator
-    P = _rk4_step_matrix(np.asarray(matrix, dtype=complex), dt)
-    return RK4StepMatrix(P, getattr(generator, "basis", None), dt)
-
-
-def _rk4_step(matrix, x, dt, k1=None):
-    """One classical RK4 step of x' = M x (``k1``: M x if known); ``x`` is a vector or block."""
-    k1 = matrix @ x if k1 is None else k1
-    k2 = matrix @ (x + 0.5 * dt * k1)
-    k3 = matrix @ (x + 0.5 * dt * k2)
-    k4 = matrix @ (x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_step_matrix(matrix, dt, block=64):
-    """P with P @ x equal to one RK4 step: column j is the step applied to e_j,
-    built ``block`` identity columns at a time so no second N x N temporary exists;
-    the first stage M e_j is column j of M itself."""
-    n = matrix.shape[0]
-    P = np.empty((n, n), dtype=complex)
-    for j in range(0, n, block):
-        cols = np.eye(n, min(block, n - j), -j, dtype=complex)
-        P[:, j:j + block] = _rk4_step(matrix, cols, dt, matrix[:, j:j + block])
-    return P
+    solve = eigen_solve if solver == "eigen" else krylov_propagate
+    return solve(generator, state0, step_indices(dt, t_max, stride) * dt)
 
 
 def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
                   stride: int = 1) -> Trajectory:
-    """Fixed-step RK4 integration, snapshots every ``stride`` steps; ``generator``
-    may be an :class:`RK4StepMatrix` built for this ``dt``."""
-    matrix, beta0, basis = _resolve(generator, state0, (GeneratorMatrix, RK4StepMatrix))
+    """Fixed-step RK4 integration, snapshots every ``stride`` steps."""
+    matrix, beta0, basis = _resolve(generator, state0)
     keep = step_indices(dt, t_max, stride)
-    if not isinstance(generator, RK4StepMatrix):
-        generator = step_operator(matrix, dt, t_max, stride, "rk4")
-    elif generator.dt != dt:
-        raise ValueError(f"step matrix was built for dt = {generator.dt!r}, not {dt!r}")
-    P = generator.matrix if isinstance(generator, RK4StepMatrix) else None
     out = np.empty((keep.size, beta0.size), dtype=complex)
     out[0] = beta = beta0
     for row in range(1, keep.size):
-        for _ in range(keep[row] - keep[row - 1]):
-            beta = _rk4_step(matrix, beta, dt) if P is None else P @ beta
+        for _ in range(keep[row] - keep[row - 1]):  # one classical RK4 step each
+            k1 = matrix @ beta
+            k2 = matrix @ (beta + 0.5 * dt * k1)
+            k3 = matrix @ (beta + 0.5 * dt * k2)
+            k4 = matrix @ (beta + dt * k3)
+            beta = beta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[row] = beta
     return Trajectory(times=keep * dt, amplitudes=out, basis=basis, solver="rk4")
+
+
+def krylov_propagate(generator, state0, times) -> Trajectory:
+    """beta(t) = e^{Mt} beta(0) on a time grid from Arnoldi bases (two Gram-Schmidt
+    passes) of at most ``KRYLOV_MAX_DIM`` vectors.  A basis of beta(t0) serves the times
+    after t0 (halvings of the first interval, then the grid) up to the first whose a
+    posteriori error estimate (Saad 1992) exceeds ``KRYLOV_TOL`` |beta(0)|; it writes
+    the grid rows among them and the next basis restarts from the last (as in Expokit)."""
+    matrix, beta, basis = _resolve(generator, state0)
+    t = _time_grid(times)
+    out = np.empty((t.size, beta.size), dtype=complex)
+    out[0] = beta
+    tol = KRYLOV_TOL * np.linalg.norm(beta)
+    dim = min(KRYLOV_MAX_DIM, beta.size)
+    V = np.empty((dim + 1, beta.size), dtype=complex)  # rows: the orthonormal basis
+    H = np.empty((dim + 1, dim), dtype=complex)
+    halvings = 0.5 ** np.arange(52, 0, -1)  # internal times, in units of the first interval
+    row, t0 = 1, 0.0
+    while row < t.size:
+        taus = np.append(halvings * (t[row] - t0), t[row:] - t0)
+        scale = np.linalg.norm(beta) or 1.0  # a zero state spans a zero basis
+        V[0], H[:] = beta / scale, 0
+        for m in range(1, dim + 1):
+            w = matrix @ V[m - 1]
+            for _ in range(2):
+                h = (V[:m] @ w.conj()).conj()
+                w -= h @ V[:m]
+                H[:m, m - 1] += h
+            H[m, m - 1] = residual = np.linalg.norm(w)
+            if m % _KRYLOV_CHECK == 0 or m == dim or residual == 0:
+                mu, W = np.linalg.eig(H[:m, :m])
+                c = np.linalg.solve(W, scale * np.eye(m, 1)[:, 0])
+                E = c[:, None] * np.exp(np.outer(mu, taus))  # e^{H tau_i} scale e_1 = W E[:, i]
+                ok = residual * np.abs(W[-1] @ E) <= tol
+                if ok.all() or m == dim:
+                    break
+            V[m] = w / residual
+        kept = np.append(ok, False).argmin()  # the times before the first that fails
+        cond = np.linalg.cond(W)  # scales the rounding error of W E, which the estimate omits
+        if not kept or not cond * np.finfo(float).eps <= KRYLOV_TOL:
+            raise DegenerateSpectrumError(
+                f"Krylov step from t = {t0!r} cannot meet KRYLOV_TOL (eigenvector condition "
+                f"number {cond:.3e}); propagate with RK4 instead (set solver = rk4)")
+        B = W.T @ V[:m]  # the state at t0 + tau_i is E[:, i] @ B
+        rows = max(kept - halvings.size, 0)
+        np.matmul(E[:, kept - rows:kept].T, B, out=out[row:row + rows])
+        t0, beta = t0 + taus[kept - 1], E[:, kept - 1] @ B
+        row += rows
+    return Trajectory(times=t, amplitudes=out, basis=basis, solver="krylov")
 
 
 def eigen_decompose(generator, state0) -> EigenSolution:
@@ -232,9 +236,7 @@ def eigen_decompose(generator, state0) -> EigenSolution:
 def eigen_solve(generator, state0, times) -> Trajectory:
     """Exact-in-time solution beta(t) = V (c * e^{lambda t}) on a time grid."""
     matrix, beta0, basis = _resolve(generator, state0)
-    t = np.asarray(times, dtype=float).reshape(-1)
-    if t.size < 1 or t[0] != 0.0 or (t.size > 1 and np.any(np.diff(t) <= 0)):
-        raise ValueError("times must be strictly increasing and start at 0")
+    t = _time_grid(times)
     sol = eigen_decompose(matrix, beta0)
     phases = np.exp(np.outer(sol.eigenvalues, t))
     amp = (sol.eigenvectors @ (sol.coefficients[:, None] * phases)).T

@@ -7,6 +7,7 @@ and Kvec[j, i] = k0_vec . (r_j - r_i) (timing/propagation phase).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -44,7 +45,7 @@ class Ensemble:
             raise ValueError("ensemble needs at least one atom")
         if not np.all(np.isfinite(pos)) or not np.all(np.isfinite(kv)):
             raise ValueError("positions and k0_vec must be finite")
-        if np.linalg.norm(kv) <= 0.0:
+        if math.hypot(*kv) <= 0.0:
             raise ValueError("k0_vec must have positive norm")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "k0_vec", kv)
@@ -89,7 +90,7 @@ class Ensemble:
 
     @property
     def k0(self) -> float:
-        return float(np.linalg.norm(self.k0_vec))
+        return math.hypot(*self.k0_vec)
 
     @property
     def n_sections(self) -> int:

@@ -1,12 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The fig4 runs
-(N = 1000, RK4) dominate the runtime; everything is cached in
-module-scoped fixtures.  On a 2-vCPU Intel Xeon VM (Python 3.11, numpy
-2.4.6 with OpenBLAS) this module takes about 8.5 s, about 4.4 s of it in
-the fig4 fixture, which runs the six through ``simulate_runs`` as the CLI
-does (two generators, two RK4 step matrices; 4.2 s through the CLI,
-median in ``BENCH_3.json``); the rest of the tier-1 suite adds about 5 s.
+Run with ``pytest tests/test_acceptance.py -v -s``.  Everything is cached
+in module-scoped fixtures.  On a 2-vCPU Intel Xeon VM (Python 3.11, numpy
+2.4.6 with OpenBLAS) this module takes about 3.6 s, about 0.7 s of it in
+the fig4 fixture, which runs the six N = 1000 runs through ``simulate_runs``
+as the CLI does (two generators, Krylov propagation); the rest of the
+tier-1 suite adds about 6.5 s.
 """
 
 import math

@@ -1,7 +1,10 @@
 import math
+import os
 import random
 import re
+import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,7 @@ from tdsim.cli import (
 )
 
 QUICK = dict(geometry="line", n="4", t_max="1.0", tracked="plus,2")
-# fig4's six runs on 60 atoms: 100 RK4 steps >= N, so each group builds a step matrix
+# fig4's six runs on 60 atoms, 100 RK4 steps each
 SMALL_FIG4 = dict(target_count=60, t_max=1.0, solver="rk4")
 SMALL_FIG4_FLAGS = ["--preset", "fig4", "--target-count", "60", "--t-max", "1.0",
                     "--solver", "rk4"]
@@ -77,10 +80,10 @@ def no_oracles(monkeypatch):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Count generator, step-matrix and eigenvalue-set builds, and the O(N) builds."""
-    import tdsim.dynamics
+    """Count generator and eigenvalue-set builds, and the O(N) builds."""
+    import tdsim.cli
 
-    counts = {"generator": 0, "step_matrix": 0, "eigenvalues": 0}
+    counts = {"generator": 0, "eigenvalues": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -94,8 +97,6 @@ def counted(monkeypatch):
         monkeypatch.setattr(f"tdsim.cli.{name}", counting(name, getattr(tdsim.cli, name)))
     monkeypatch.setattr("tdsim.cli.build_generator",
                         counting("generator", tdsim.cli.build_generator))
-    monkeypatch.setattr(tdsim.dynamics, "_rk4_step_matrix",
-                        counting("step_matrix", tdsim.dynamics._rk4_step_matrix))
     monkeypatch.setattr("tdsim.cli.spectrum_eigenvalues",
                         counting("eigenvalues", tdsim.cli.spectrum_eigenvalues))
     return counts
@@ -477,11 +478,33 @@ class TestMainEntry:
         assert "x_sine_plus.csv" in err
         assert not list(tmp_path.iterdir())
 
-    def test_auto_solver_above_the_eigen_limit_echoes_rk4(self, tmp_path):
+    def test_auto_solver_above_the_eigen_limit_echoes_krylov(self, tmp_path):
         out = tmp_path / "big.csv"
         assert main(["run", "--geometry", "line", "--n", "501", "--t-max", "0.02",
                      "--output", str(out)]) == 0
-        assert "# solver = rk4\n" in out.read_text()
+        assert "# solver = krylov\n" in out.read_text()
+
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    @pytest.mark.parametrize("k0_vec,code", [("1e200,0,0", 0), ("1e-200,0,0", 0),
+                                             ("1.5e308,1.5e308,0", 2)])
+    def test_k0_vec_norm_neither_overflows_nor_underflows(self, tmp_path, capsys, kernel,
+                                                          k0_vec, code):
+        argv = ["run", "--geometry", "line", "--n", "3", "--t-max", "0.1", "--kernel", kernel,
+                "--k0-vec", k0_vec, "--output", str(tmp_path / "k.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else
+                       f"tdsim: k0_vec must be finite with positive norm, got '{k0_vec}'\n")
+
+    def test_importing_the_cli_leaves_scipy_unloaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import sys, tdsim.cli; print('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "False\n"
 
     def test_preset_run_writes_named_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -508,9 +531,9 @@ class TestGroupedRuns:
                                                               counted):
         argv = ["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]
         assert main(argv) == 0
-        assert (counted["generator"], counted["step_matrix"]) == (2, 2)
+        assert counted["generator"] == 2
         assert main(argv) == 0  # nothing is kept from one call to the next
-        assert (counted["generator"], counted["step_matrix"]) == (4, 4)
+        assert counted["generator"] == 4
         suffixes = [suffix for suffix, _ in resolve_configs("fig4")]
         assert capsys.readouterr().out.split() == [str(tmp_path / f"g_{s}.csv")
                                                    for s in suffixes] * 2
@@ -518,8 +541,8 @@ class TestGroupedRuns:
     def test_each_member_is_prepared_once(self, tmp_path, counted):
         assert main(["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]) == 0
         builds = ("build_sphere_lattice", "partition_sections", "section_state",
-                  "plus_state", "generator", "step_matrix")
-        assert [counted[name] for name in builds] == [6, 4, 4, 2, 2, 2]
+                  "plus_state", "generator")
+        assert [counted[name] for name in builds] == [6, 4, 4, 2, 2]
 
     def test_the_whole_call_is_checked_before_any_generator(self, no_generator):
         ok_sine = RunConfig(n=3)
@@ -537,7 +560,7 @@ class TestGroupedRuns:
     def test_simulate_runs_shares_one_generator_per_kernel(self, counted):
         configs = [config for _, config in resolve_configs("fig4", flag_pairs=SMALL_FIG4)]
         grouped = [render_csv(result) for result in simulate_runs(configs)]
-        assert (counted["generator"], counted["step_matrix"]) == (2, 2)
+        assert counted["generator"] == 2
         assert grouped == [render_csv(simulate(config)) for config in configs]
 
     def test_spectrum_computes_two_eigenvalue_sets(self, tmp_path, counted):

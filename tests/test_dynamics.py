@@ -8,7 +8,6 @@ from tdsim import (
     build_transform,
     eigen_decompose,
     eigen_solve,
-    ladder_state,
     oracle_expm,
     plus_state,
     propagate,
@@ -17,8 +16,7 @@ from tdsim import (
     transform_generator,
 )
 from tdsim.basis import AmplitudeState
-from tdsim.dynamics import (DegenerateSpectrumError, RK4StepMatrix, Trajectory,
-                            step_indices, step_operator)
+from tdsim.dynamics import DegenerateSpectrumError, Trajectory, krylov_propagate, step_indices
 
 
 def random_stable_matrix(rng, n):
@@ -192,35 +190,8 @@ class TestCrossSolverProperties:
         assert np.abs(td_from_fock - traj_td.amplitudes).max() < 1e-8
 
 
-class TestRK4StepMatrix:
-    """Runs of at least N steps advance by the one-step matrix P, shorter ones by
-    the four-matvec loop; both are the same RK4 method."""
-
-    @pytest.mark.parametrize("kernel", ["sine", "exp"])
-    def test_step_matrix_only_from_n_steps_and_paths_agree(self, kernel, monkeypatch):
-        import tdsim.dynamics as dynamics
-
-        e = build_sphere_lattice(3.0, 1.0, target_count=40)
-        M, beta0 = build_generator(e, kernel), plus_state(e)
-        builds = []
-        real_build = dynamics._rk4_step_matrix
-
-        def counting_build(matrix, dt):
-            builds.append(matrix.shape[0])
-            return real_build(matrix, dt)
-
-        monkeypatch.setattr(dynamics, "_rk4_step_matrix", counting_build)
-        short = rk4_propagate(M, beta0, dt=0.05, t_max=39 * 0.05)  # 39 steps: loop
-        assert builds == []
-        long = rk4_propagate(M, beta0, dt=0.05, t_max=40 * 0.05)  # 40 steps: P
-        assert builds == [40]
-        assert np.array_equal(long.times[:40], short.times)
-        assert np.abs(long.amplitudes[:40] - short.amplitudes).max() < 1e-13
-
-
-class TestStepMatrixBuild:
-    """P takes RK4's first stage from M's columns: one product fewer per block than
-    applying the step to identity columns, with the same bytes."""
+class TestKrylov:
+    """Arnoldi bases with Saad's error estimate, restarted at the dimension cap."""
 
     class CountingMatrix(np.ndarray):
         products = 0
@@ -229,63 +200,44 @@ class TestStepMatrixBuild:
             type(self).products += 1
             return np.asarray(self) @ other
 
-    @staticmethod
-    def product_built(matrix, dt, block=64):
-        """The step applied to every identity block, first stage included."""
+    def test_auto_is_accurate_on_the_stiff_line(self):
+        # 600 atoms 0.05/k0 apart: RK4 at dt 0.01 was 3.3e-3 off here
+        e = build_line(600, spacing=0.05)
+        M, beta0 = build_generator(e, "exp"), plus_state(e)
+        traj = propagate(M, beta0, 0.01, 2.0, 1, "auto")
+        assert traj.solver == "krylov"
+        ref = oracle_expm(M, beta0, 2.0).amplitudes
+        assert np.abs(traj.amplitudes[-1] - ref).max() < 1e-10
+
+    def test_restarts_past_a_small_cap_match_eigen(self, monkeypatch):
         import tdsim.dynamics as dynamics
 
-        n = matrix.shape[0]
-        P = np.empty((n, n), dtype=complex)
-        for j in range(0, n, block):
-            cols = np.eye(n, min(block, n - j), -j, dtype=complex)
-            P[:, j:j + block] = dynamics._rk4_step(matrix, cols, dt)
-        return P
-
-    @pytest.mark.parametrize("kernel", ["sine", "exp"])
-    @pytest.mark.parametrize("geometry", ["fig2_sphere", "line_300"])
-    def test_bytes_equal_the_product_build_with_three_products_per_block(self, kernel,
-                                                                          geometry):
-        import tdsim.dynamics as dynamics
-
-        e = (build_sphere_lattice(3.0, 1.0, target_count=121) if geometry == "fig2_sphere"
-             else build_line(300, spacing=0.37))
-        M = build_generator(e, kernel).matrix
-        counted = M.view(self.CountingMatrix)
+        monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 8)
+        e = build_sphere_lattice(3.0, 1.0, target_count=40)
+        M, beta0 = build_generator(e, "exp"), plus_state(e)
+        for times in (np.arange(1001) * 0.01, np.array([0.0, 2.0])):
+            traj = krylov_propagate(M, beta0, times)
+            ref = eigen_solve(M, beta0, times)
+            assert np.abs(traj.amplitudes - ref.amplitudes).max() < 1e-10
+        # one basis cannot reach t = 2, so that interval was split at an internal time
+        counted = build_generator(e, "exp")
+        object.__setattr__(counted, "matrix", counted.matrix.view(self.CountingMatrix))
         self.CountingMatrix.products = 0
-        P = dynamics._rk4_step_matrix(counted, 0.01)
-        blocks = -(-e.n // 64)
-        assert self.CountingMatrix.products == 3 * blocks
-        ref = self.product_built(M, 0.01)
-        assert np.array_equal(P, ref)
-        assert P.tobytes() == ref.tobytes()  # signed zeros included
+        krylov_propagate(counted, beta0, [0.0, 2.0])
+        assert self.CountingMatrix.products > 8
 
+    def test_zero_state_and_invariant_subspace(self):
+        M = np.array([[-1.0, 0.0], [0.0, -2.0]])
+        zero = krylov_propagate(M, np.zeros(2), [0.0, 1.0, 2.0])
+        assert np.array_equal(zero.amplitudes, np.zeros((3, 2)))
+        one = krylov_propagate(M, np.array([1.0, 0.0]), [0.0, 1.0, 2.0])  # 1-vector basis
+        assert np.abs(one.amplitudes[:, 0] - np.exp(-np.array([0.0, 1.0, 2.0]))).max() < 1e-15
+        assert np.array_equal(one.amplitudes[:, 1], np.zeros(3))
 
-class TestStepOperator:
-    """A run of at least N RK4 steps may be handed the step matrix P in place of M."""
-
-    def test_shared_step_matrix_reproduces_each_run(self):
-        e = build_sphere_lattice(3.0, 1.0, target_count=40)
-        M = build_generator(e, "exp")
-        operator = step_operator(M, 0.05, 2.0, 1, "rk4")
-        assert isinstance(operator, RK4StepMatrix) and operator.dt == 0.05
-        for start in (plus_state(e), ladder_state(e, 2)):
-            shared = propagate(operator, start, 0.05, 2.0, 1, "rk4")
-            alone = propagate(M, start, 0.05, 2.0, 1, "rk4")
-            assert np.array_equal(shared.amplitudes, alone.amplitudes)
-        with pytest.raises(ValueError, match="built for dt = 0.05, not 0.1"):
-            rk4_propagate(operator, plus_state(e), 0.1, 2.0)
-
-    @pytest.mark.parametrize("t_max,solver", [(1.95, "rk4"), (2.0, "eigen"), (2.0, "auto")])
-    def test_generator_itself_when_no_step_matrix_is_due(self, t_max, solver):
-        M = build_generator(build_sphere_lattice(3.0, 1.0, target_count=40), "sine")
-        assert step_operator(M, 0.05, t_max, 1, solver) is M  # 39 steps, or eigen
-
-    @pytest.mark.parametrize("solver", ["auto", "eigen"])
-    def test_a_step_matrix_given_to_the_eigen_solver_is_rejected(self, solver):
-        e = build_sphere_lattice(3.0, 1.0, target_count=40)
-        operator = step_operator(build_generator(e, "exp"), 0.05, 2.0, 1, "rk4")
-        with pytest.raises(ValueError, match="step matrix"):
-            propagate(operator, plus_state(e), 0.05, 2.0, 1, solver)
+    def test_a_defective_generator_fails_loudly(self):
+        jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])  # e^{Mt} (0, 1) = e^{-t} (t, 1)
+        with pytest.raises(DegenerateSpectrumError, match="rk4"):
+            krylov_propagate(jordan, np.array([0.0, 1.0]), [0.0, 1.0])
 
 
 class TestPropagate:
@@ -295,11 +247,13 @@ class TestPropagate:
     def direct(self, method, M, beta0):
         if method == "rk4":
             return rk4_propagate(M, beta0, self.DT, self.T_MAX, self.STRIDE)
+        if method == "krylov":
+            return krylov_propagate(M, beta0, self.GRID)
         return eigen_solve(M, beta0, self.GRID)
 
     @pytest.mark.parametrize("n,solver,method", [
         (500, "auto", "eigen"),
-        (501, "auto", "rk4"),
+        (501, "auto", "krylov"),
         (500, "rk4", "rk4"),
         (501, "eigen", "eigen"),
     ])
