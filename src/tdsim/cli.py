@@ -28,7 +28,7 @@ import numpy as np
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
 from .dynamics import SOLVERS, Trajectory, propagate, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
-from .kernels import KERNELS, build_generator
+from .kernels import KERNELS, build_generator, real_symmetric
 from .observables import ObservableSeries, populations, state_population, total_excitation
 
 __all__ = [
@@ -325,7 +325,7 @@ def _build_ensemble(config: RunConfig) -> Ensemble:
 
 def _build_init(config: RunConfig, ensemble: Ensemble) -> AmplitudeState:
     if config.init == "plus":
-        return plus_state(ensemble)
+        return _checked(plus_state, ensemble)
     kind, _, index = config.init.partition(":")
     if kind == "section" and config.sections is None:
         raise ConfigError("init 'section:m' requires the sections key")
@@ -448,11 +448,12 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
     """Sorted (by real, then imaginary part) eigenvalues of the TD generator.
 
     S M S^dagger is unitarily similar to the Fock generator M, so the
-    eigenvalues are taken from M directly.
+    eigenvalues are taken from M directly: by ``eigvalsh`` where M is real
+    symmetric (the sine kernel), so they are exactly real, else by ``eigvals``.
     """
     ensemble = _build_ensemble(replace(config, sections=None))  # sections do not enter
-    generator = build_generator(ensemble, config.kernel, config.gamma)
-    eig = np.linalg.eigvals(generator.matrix)
+    M = build_generator(ensemble, config.kernel, config.gamma).matrix
+    eig = np.linalg.eigvalsh(M) if real_symmetric(M) else np.linalg.eigvals(M)
     return eig[np.lexsort((eig.imag, eig.real))]
 
 

@@ -7,7 +7,7 @@ of three independent routes, which must agree:
 
 * :func:`rk4_propagate`    -- classical fixed-step Runge-Kutta 4, the
   reference method (default dt = 0.01 in units of 1/gamma);
-* :func:`eigen_solve`      -- spectral solution beta(t) = sum_i c_i V_i e^{l_i t};
+* :func:`eigen_solve`      -- spectral solution sum_i c_i V_i e^{l_i t} (eigh if real symmetric);
 * :func:`krylov_propagate` -- Arnoldi bases checked by Saad's error estimate;
 * :func:`oracle_expm`      -- scaling-and-squaring matrix exponential with a
   truncated-series core, written independently of the others and used
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FOCK, AmplitudeState
-from .kernels import GeneratorMatrix
+from .kernels import GeneratorMatrix, generator_array, real_symmetric
 
 __all__ = [
     "Trajectory",
@@ -43,6 +43,7 @@ SOLVERS = ("auto", "rk4", "eigen", "krylov")
 KRYLOV_TOL = 1e-10  # bound on each Krylov row's error estimate, relative to |beta(0)|
 KRYLOV_MAX_DIM = 160  # Arnoldi vectors in one basis; past it the basis restarts
 _KRYLOV_CHECK = 8  # vectors added between error estimates
+MAX_TIME_ROWS = 10**7  # kept rows of one time grid, counted before it is built
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -90,15 +91,13 @@ def _resolve(generator, state0):
     if isinstance(generator, GeneratorMatrix):
         matrix, g_basis = generator.matrix, generator.basis
     else:
-        matrix, g_basis = np.asarray(generator, dtype=complex), None
+        matrix, g_basis = generator_array(generator), None
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("generator must be a square matrix")
     if isinstance(state0, AmplitudeState):
-        beta0 = state0.amplitudes
-        s_basis = state0.basis
+        beta0, s_basis = state0.amplitudes, state0.basis
     else:
-        beta0 = np.asarray(state0, dtype=complex).reshape(-1)
-        s_basis = None
+        beta0, s_basis = np.asarray(state0, dtype=complex).reshape(-1), None
     if g_basis is not None and s_basis is not None and g_basis != s_basis:
         raise ValueError(
             f"basis mismatch: generator is {g_basis!r}, state is {s_basis!r}"
@@ -111,6 +110,15 @@ def _resolve(generator, state0):
         raise ValueError("generator and initial state must be finite")
     basis = g_basis or s_basis or FOCK
     return matrix, beta0, basis
+
+
+def _apply(matrix, x):
+    """``matrix @ x`` for complex ``x``, never casting a real matrix to complex (N x N)."""
+    if np.iscomplexobj(matrix):
+        return matrix @ x
+    if x.ndim == 2:  # one real product with the block's (N, 2T) float view
+        return (matrix @ np.ascontiguousarray(x).view(float)).view(complex)
+    return matrix @ x.real + 1j * (matrix @ x.imag)
 
 
 def _time_grid(times) -> np.ndarray:
@@ -130,6 +138,9 @@ def step_indices(dt: float, t_max: float, stride: int = 1) -> np.ndarray:
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride!r}")
     steps = t_max / dt
+    if steps / stride + 1 > MAX_TIME_ROWS:  # counted, not built
+        raise ValueError(f"the time grid t_max / (dt * stride) keeps {steps / stride + 1:.4g} "
+                         f"rows, more than MAX_TIME_ROWS = {MAX_TIME_ROWS:.0e}")
     n_steps = round(steps)
     if not math.isclose(steps, n_steps, rel_tol=1e-9):
         raise ValueError(f"t_max = {t_max!r} is not an integer multiple of dt = {dt!r}")
@@ -160,10 +171,10 @@ def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     out[0] = beta = beta0
     for row in range(1, keep.size):
         for _ in range(keep[row] - keep[row - 1]):  # one classical RK4 step each
-            k1 = matrix @ beta
-            k2 = matrix @ (beta + 0.5 * dt * k1)
-            k3 = matrix @ (beta + 0.5 * dt * k2)
-            k4 = matrix @ (beta + dt * k3)
+            k1 = _apply(matrix, beta)
+            k2 = _apply(matrix, beta + 0.5 * dt * k1)
+            k3 = _apply(matrix, beta + 0.5 * dt * k2)
+            k4 = _apply(matrix, beta + dt * k3)
             beta = beta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[row] = beta
     return Trajectory(times=keep * dt, amplitudes=out, basis=basis, solver="rk4")
@@ -190,7 +201,7 @@ def krylov_propagate(generator, state0, times) -> Trajectory:
         scale = np.linalg.norm(beta) or 1.0  # a zero state spans a zero basis
         V[0], H[:] = beta / scale, 0
         for m in range(1, dim + 1):
-            w = matrix @ V[m - 1]
+            w = _apply(matrix, V[m - 1])
             for _ in range(2):
                 h = (V[:m] @ w.conj()).conj()
                 w -= h @ V[:m]
@@ -219,9 +230,12 @@ def krylov_propagate(generator, state0, times) -> Trajectory:
 
 
 def eigen_decompose(generator, state0) -> EigenSolution:
-    """Eigendecomposition of the generator with coefficients V c = beta(0)."""
+    """Eigenpairs with coefficients V c = beta(0); ``eigh`` (V orthogonal) if real symmetric."""
     matrix, beta0, _ = _resolve(generator, state0)
-    lam, V = np.linalg.eig(matrix)
+    if real_symmetric(matrix):
+        lam, V = np.linalg.eigh(matrix)
+        return EigenSolution(lam, V, _apply(V.T, beta0))
+    lam, V = np.linalg.eig(matrix.astype(complex, copy=False))
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > EIGEN_COND_LIMIT:
         raise DegenerateSpectrumError(
@@ -239,7 +253,7 @@ def eigen_solve(generator, state0, times) -> Trajectory:
     t = _time_grid(times)
     sol = eigen_decompose(matrix, beta0)
     phases = np.exp(np.outer(sol.eigenvalues, t))
-    amp = (sol.eigenvectors @ (sol.coefficients[:, None] * phases)).T
+    amp = _apply(sol.eigenvectors, sol.coefficients[:, None] * phases).T
     amp[0] = beta0
     return Trajectory(times=t, amplitudes=amp, basis=basis, solver="eigen")
 
@@ -254,15 +268,13 @@ def oracle_expm(generator, state0, t: float) -> AmplitudeState:
     matrix, beta0, basis = _resolve(generator, state0)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    A = matrix * t
+    A = matrix.astype(complex, copy=False) * t  # cast once: a real M is summed as complex
     norm = float(np.linalg.norm(A, 1))
     if norm > 2.0**40:
         raise OverflowError(f"||M t|| = {norm:.3e} is out of range for expm")
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
     A = A / 2.0**squarings
-    n = A.shape[0]
-    E = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
+    E = term = np.eye(A.shape[0], dtype=complex)
     for k in range(1, 41):
         term = term @ A / k
         E = E + term

@@ -73,10 +73,10 @@ class Ensemble:
 
     @property
     def K(self) -> np.ndarray:
-        # squared distances one axis at a time, so no N x N x 3 array
-        dist = np.zeros((self.n, self.n))
+        # squared distances one axis at a time through one scratch buffer: no N x N x 3 array
+        dist, step = np.zeros((self.n, self.n)), np.empty((self.n, self.n))
         for col in self.positions.T:
-            step = np.subtract.outer(col, col)
+            np.subtract.outer(col, col, out=step)
             dist += np.square(step, out=step)
         np.sqrt(dist, out=dist)
         dist *= self.k0
@@ -151,17 +151,10 @@ def build_sphere_lattice(
                 f"target_count {target_count} exceeds the {idx.shape[0]} "
                 f"lattice points available for radius={radius}, spacing={spacing}"
             )
-        n_drop = idx.shape[0] - target_count
-        if n_drop:
-            # farthest first; among equal radii the lexicographically
-            # smallest (i, j, k) goes first
-            order = np.lexsort(
-                (idx[:, 2], idx[:, 1], idx[:, 0], -norm2)
-            )
-            drop = np.zeros(idx.shape[0], dtype=bool)
-            drop[order[:n_drop]] = True
-            idx = idx[~drop]
-            norm2 = norm2[~drop]
+        # farthest first; among equal radii the lexicographically smallest (i, j, k) goes first
+        order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -norm2))
+        kept = np.sort(order[idx.shape[0] - target_count:])  # the rest, in lattice order
+        idx, norm2 = idx[kept], norm2[kept]
     kv = np.asarray(k0_vec, dtype=float)
     proj = idx @ kv
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -proj, norm2))
@@ -191,8 +184,5 @@ def partition_sections(ensemble: Ensemble, m: int, axis=None) -> Ensemble:
     base, extra = divmod(n, m)
     sizes = [base + 1 if s < extra else base for s in range(int(m))]
     labels = np.empty(n, dtype=int)
-    start = 0
-    for s, size in enumerate(sizes):
-        labels[order[start : start + size]] = s
-        start += size
+    labels[order] = np.repeat(np.arange(int(m)), sizes)
     return replace(ensemble, sections=labels)

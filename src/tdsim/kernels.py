@@ -16,7 +16,7 @@ No 1/N prefactor is applied here; the 1/N seen in the TD-basis equations
 of motion comes out of the 1/sqrt(N) state normalizations.
 
 The kernel names live in ``KERNELS``.  Kernel and gamma are checked before K
-is built, and M is assembled in place in the complex buffer it is returned in.
+is built; M is assembled in place, float64 for sine and complex for exp.
 """
 
 from __future__ import annotations
@@ -38,15 +38,26 @@ __all__ = [
 ]
 
 
+def generator_array(matrix) -> np.ndarray:
+    """``matrix`` as a float64 array if it is real, else as a complex one."""
+    M = np.asarray(matrix)
+    return M.astype(complex if np.iscomplexobj(M) else float, copy=False)
+
+
+def real_symmetric(matrix: np.ndarray) -> bool:
+    """Whether ``matrix`` is float64 and equal to its transpose, so ``eigh`` solves it."""
+    return matrix.dtype == np.float64 and np.array_equal(matrix, matrix.T)
+
+
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """N x N complex generator of beta_dot = M beta with its basis tag."""
+    """N x N generator of beta_dot = M beta with its basis tag; float64 if real."""
 
     matrix: np.ndarray
     basis: str
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
+        M = generator_array(self.matrix)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("generator matrix must be square")
         if not np.all(np.isfinite(M)):
@@ -69,15 +80,13 @@ def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
     K = ensemble.K
     with np.errstate(divide="ignore", invalid="ignore"):
         if kernel == "sine":
-            M = np.zeros(K.shape, dtype=complex)
-            real = np.sin(K, out=M.real)
-            real *= -gamma
-            real /= K  # not M /= K: complex division by K rounds differently
+            M = np.sin(K)
+            M *= -gamma
         else:
             M = np.multiply(K, 1j)
             np.exp(M, out=M)
             M *= 1j * gamma
-            M /= K
+        M /= K
     np.fill_diagonal(M, -gamma)
     return M
 

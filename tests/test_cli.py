@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsim import Ensemble, TDTransform
+from tdsim import Ensemble, TDTransform, build_generator, build_sphere_lattice
 from tdsim.cli import (
     ConfigError,
     PRESETS,
@@ -327,6 +327,19 @@ class TestSpectrum:
         assert eig.real.max() < 1e-8
         assert eig.real.min() > -n - 1e-8
 
+    def test_sine_spectrum_is_exactly_real(self, tmp_path):
+        [(_, config)] = parse_config({"geometry": "sphere", "radius": "3.0",
+                                      "target_count": "121"})
+        path = spectrum(config, tmp_path / "spec.csv")
+        rows = [l.split(",") for l in path.read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert len(rows) == 121
+        assert all(imag == "0.0" for _, _, imag in rows)
+        M = build_generator(build_sphere_lattice(3.0, 1.0, target_count=121), "sine").matrix
+        ref = np.linalg.eigvals(M.astype(complex))
+        ref = ref[np.lexsort((ref.imag, ref.real))]
+        assert np.abs(np.array([float(real) for _, real, _ in rows]) - ref).max() < 1e-12
+
     def test_exp_spectrum_has_lamb_shifts(self):
         [(_, config)] = parse_config({"geometry": "sphere", "radius": "2.0",
                                       "kernel": "exp"})
@@ -497,6 +510,22 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err == ("" if code == 0 else
                        f"tdsim: k0_vec must be finite with positive norm, got '{k0_vec}'\n")
+
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    def test_overflowing_timing_phases_are_a_config_error(self, tmp_path, capsys, kernel):
+        argv = ["run", "--geometry", "line", "--n", "3", "--t-max", "0.1", "--kernel", kernel,
+                "--k0-vec", "1e308,1e308,0", "--output", str(tmp_path / "k.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "tdsim: timing phases k0_vec . r_j overflow; use a smaller k0_vec\n")
+
+    def test_an_oversized_time_grid_is_a_config_error(self, tmp_path, capsys):
+        argv = ["run", "--geometry", "line", "--n", "3", "--dt", "1e-12", "--t-max", "1.0",
+                "--output", str(tmp_path / "g.csv")]
+        assert main(argv) == 2
+        assert "keeps 1e+12 rows" in capsys.readouterr().err
 
     def test_importing_the_cli_leaves_scipy_unloaded(self):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,63 @@ class TestKrylov:
             krylov_propagate(jordan, np.array([0.0, 1.0]), [0.0, 1.0])
 
 
+class TestRealSymmetricPath:
+    """The sine generator is float64 and real symmetric: it is solved by ``eigh`` and
+    applied to complex states without being cast to complex."""
+
+    @pytest.fixture(scope="class")
+    def sphere(self):
+        e = build_sphere_lattice(3.0, 1.0, target_count=121)
+        return build_generator(e, "sine"), plus_state(e)
+
+    def test_eigen_solve_matches_the_oracle_and_the_eig_route(self, sphere):
+        M, beta0 = sphere
+        assert eigen_decompose(M, beta0).eigenvalues.dtype == np.float64  # eigh's
+        times = np.linspace(0.0, 2.0, 21)
+        traj = eigen_solve(M, beta0, times)
+        ref = oracle_expm(M, beta0, 2.0).amplitudes
+        assert np.abs(traj.amplitudes[-1] - ref).max() < 1e-10
+        cast = eigen_solve(M.matrix.astype(complex), beta0, times)
+        assert np.abs(traj.amplitudes - cast.amplitudes).max() < 1e-12
+
+    def test_the_route_follows_the_structure(self, sphere, monkeypatch):
+        calls = []
+        for name in ("eig", "eigh"):
+            def spy(a, _routine=getattr(np.linalg, name), _name=name):
+                calls.append(_name)
+                return _routine(a)
+            monkeypatch.setattr(np.linalg, name, spy)
+        M, beta0 = sphere
+        eigen_decompose(M, beta0)
+        skew = M.matrix.copy()
+        skew[0, 1] += 0.1  # real, not symmetric
+        eigen_decompose(skew, beta0)
+        with pytest.raises(DegenerateSpectrumError, match="rk4"):
+            eigen_decompose(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.array([0.0, 1.0]))
+        assert calls == ["eigh", "eig", "eig"]
+
+    def test_krylov_and_rk4_match_the_complex_cast(self, sphere):
+        M, beta0 = sphere
+        assert M.matrix.dtype == np.float64
+        cast = M.matrix.astype(complex)
+        times = np.arange(101) * 0.01
+        for solve in (lambda G: krylov_propagate(G, beta0, times),
+                      lambda G: rk4_propagate(G, beta0, 0.01, 1.0)):
+            assert np.abs(solve(M).amplitudes - solve(cast).amplitudes).max() < 1e-13
+
+    def test_a_sine_krylov_run_makes_no_complex_copy(self):
+        e = build_line(600, spacing=0.8)
+        M, beta0 = build_generator(e, "sine"), plus_state(e)
+        assert M.matrix.dtype == np.float64
+        tracemalloc.start()
+        try:
+            krylov_propagate(M, beta0, np.linspace(0.0, 1.0, 11))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * e.n ** 2  # the bytes of one N x N complex array
+
+
 class TestPropagate:
     DT, T_MAX, STRIDE = 0.01, 0.05, 2
     GRID = np.array([0, 2, 4, 5]) * 0.01  # every 2nd step plus the last
@@ -285,6 +344,16 @@ class TestTrajectoryType:
     def test_record_indices(self):
         np.testing.assert_array_equal(step_indices(0.1, 1.0, 3), [0, 3, 6, 9, 10])
         np.testing.assert_array_equal(step_indices(0.1, 0.0), [0])
+
+    def test_an_oversized_grid_is_counted_not_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"keeps 1e\+12 rows"):
+                step_indices(1e-12, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_invariants_enforced(self):
         good = Trajectory(times=np.array([0.0, 1.0]),

@@ -19,6 +19,8 @@ REFERENCE = {
     "sine": lambda K, gamma: -gamma * np.sin(K) / K,
     "exp": lambda K, gamma: 1j * gamma * np.exp(1j * K) / K,
 }
+# the sine generator is real symmetric and stored as float64
+DTYPES = {"sine": np.float64, "exp": np.complex128}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +57,12 @@ class TestSineGenerator:
     def test_real_symmetric(self, fig2_sphere):
         M = build_generator(fig2_sphere, "sine").matrix
         assert np.abs(M.imag).max() == 0.0
+        assert np.array_equal(M, M.T)
+
+    @pytest.mark.parametrize("name", ["fig2_sphere", "line300", "random_cloud"])
+    def test_float64_and_exactly_symmetric(self, name, request):
+        M = build_generator(request.getfixturevalue(name), "sine").matrix
+        assert M.dtype == np.float64
         assert np.array_equal(M, M.T)
 
     def test_eigenvalues_in_decay_band(self, fig2_sphere):
@@ -147,7 +155,7 @@ class TestInPlaceAssembly:
     def test_bitwise_equal_to_whole_array_expression(self, kernel, gamma, name, request):
         e = request.getfixturevalue(name)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ref = np.asarray(REFERENCE[kernel](e.K, gamma), dtype=complex)
+            ref = np.asarray(REFERENCE[kernel](e.K, gamma), dtype=DTYPES[kernel])
         np.fill_diagonal(ref, -gamma)
         M = build_generator(e, kernel, gamma).matrix
         # compared as bit patterns, so signed zeros count
@@ -162,8 +170,9 @@ class TestInPlaceAssembly:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # K is 8 bytes per pair and M 16; anything else whole-matrix breaks the bound
-        assert peak <= 24 * e.n ** 2 + 2 ** 20
+        # K is 8 bytes per pair and M 8 (sine) or 16 (exp); anything else whole-matrix
+        # breaks the bound
+        assert peak <= (8 + np.dtype(DTYPES[kernel]).itemsize) * e.n ** 2 + 2 ** 20
 
     def test_bad_arguments_raise_before_K(self, monkeypatch):
         e = build_line(4)
