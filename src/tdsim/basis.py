@@ -97,12 +97,8 @@ class TDTransform:
 
 
 def timing_phases(ensemble: Ensemble) -> np.ndarray:
-    """Per-atom phases e^{i k0.r_j}; a ``ValueError`` where k0.r_j overflows."""
-    with np.errstate(over="ignore"):
-        proj = ensemble.positions @ ensemble.k0_vec
-    if not np.all(np.isfinite(proj)):
-        raise ValueError("timing phases k0_vec . r_j overflow; use a smaller k0_vec")
-    return np.exp(1j * proj)
+    """Per-atom phases e^{i k0.r_j}."""
+    return np.exp(1j * (ensemble.positions @ ensemble.k0_vec))
 
 
 def ladder_weights(n: int) -> np.ndarray:

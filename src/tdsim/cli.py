@@ -325,7 +325,7 @@ def _build_ensemble(config: RunConfig) -> Ensemble:
 
 def _build_init(config: RunConfig, ensemble: Ensemble) -> AmplitudeState:
     if config.init == "plus":
-        return _checked(plus_state, ensemble)
+        return plus_state(ensemble)
     kind, _, index = config.init.partition(":")
     if kind == "section" and config.sections is None:
         raise ConfigError("init 'section:m' requires the sections key")
@@ -448,8 +448,7 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
     """Sorted (by real, then imaginary part) eigenvalues of the TD generator.
 
     S M S^dagger is unitarily similar to the Fock generator M, so the
-    eigenvalues are taken from M directly: by ``eigvalsh`` where M is real
-    symmetric (the sine kernel), so they are exactly real, else by ``eigvals``.
+    eigenvalues are taken from M directly.
     """
     ensemble = _build_ensemble(replace(config, sections=None))  # sections do not enter
     M = build_generator(ensemble, config.kernel, config.gamma).matrix

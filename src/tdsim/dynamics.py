@@ -95,9 +95,11 @@ def _resolve(generator, state0):
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("generator must be a square matrix")
     if isinstance(state0, AmplitudeState):
-        beta0, s_basis = state0.amplitudes, state0.basis
+        beta0 = state0.amplitudes
+        s_basis = state0.basis
     else:
-        beta0, s_basis = np.asarray(state0, dtype=complex).reshape(-1), None
+        beta0 = np.asarray(state0, dtype=complex).reshape(-1)
+        s_basis = None
     if g_basis is not None and s_basis is not None and g_basis != s_basis:
         raise ValueError(
             f"basis mismatch: generator is {g_basis!r}, state is {s_basis!r}"
@@ -139,8 +141,7 @@ def step_indices(dt: float, t_max: float, stride: int = 1) -> np.ndarray:
         raise ValueError(f"stride must be >= 1, got {stride!r}")
     steps = t_max / dt
     if steps / stride + 1 > MAX_TIME_ROWS:  # counted, not built
-        raise ValueError(f"the time grid t_max / (dt * stride) keeps {steps / stride + 1:.4g} "
-                         f"rows, more than MAX_TIME_ROWS = {MAX_TIME_ROWS:.0e}")
+        raise ValueError(f"time grid keeps {steps / stride + 1:.4g} rows > {MAX_TIME_ROWS:.0e}")
     n_steps = round(steps)
     if not math.isclose(steps, n_steps, rel_tol=1e-9):
         raise ValueError(f"t_max = {t_max!r} is not an integer multiple of dt = {dt!r}")
@@ -274,7 +275,9 @@ def oracle_expm(generator, state0, t: float) -> AmplitudeState:
         raise OverflowError(f"||M t|| = {norm:.3e} is out of range for expm")
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
     A = A / 2.0**squarings
-    E = term = np.eye(A.shape[0], dtype=complex)
+    n = A.shape[0]
+    E = np.eye(n, dtype=complex)
+    term = np.eye(n, dtype=complex)
     for k in range(1, 41):
         term = term @ A / k
         E = E + term

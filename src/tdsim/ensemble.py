@@ -47,6 +47,9 @@ class Ensemble:
             raise ValueError("positions and k0_vec must be finite")
         if math.hypot(*kv) <= 0.0:
             raise ValueError("k0_vec must have positive norm")
+        with np.errstate(over="ignore", invalid="ignore"):  # 2 k0 max|r_j| bounds K and Kvec
+            if not np.isfinite(2.0 * math.hypot(*kv) * np.linalg.norm(pos, axis=1).max()):
+                raise ValueError("k0 |r_j - r_i| overflows; shrink k0_vec or the ensemble")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "k0_vec", kv)
 
@@ -156,7 +159,8 @@ def build_sphere_lattice(
         kept = np.sort(order[idx.shape[0] - target_count:])  # the rest, in lattice order
         idx, norm2 = idx[kept], norm2[kept]
     kv = np.asarray(k0_vec, dtype=float)
-    proj = idx @ kv
+    with np.errstate(over="ignore", invalid="ignore"):  # the Ensemble rejects an overflow
+        proj = idx @ kv
     order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -proj, norm2))
     return Ensemble(positions=spacing * idx[order].astype(float), k0_vec=kv)
 

@@ -40,8 +40,7 @@ __all__ = [
 
 def generator_array(matrix) -> np.ndarray:
     """``matrix`` as a float64 array if it is real, else as a complex one."""
-    M = np.asarray(matrix)
-    return M.astype(complex if np.iscomplexobj(M) else float, copy=False)
+    return np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
 
 
 def real_symmetric(matrix: np.ndarray) -> bool:

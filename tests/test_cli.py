@@ -512,14 +512,21 @@ class TestMainEntry:
                        f"tdsim: k0_vec must be finite with positive norm, got '{k0_vec}'\n")
 
     @pytest.mark.parametrize("kernel", ["sine", "exp"])
-    def test_overflowing_timing_phases_are_a_config_error(self, tmp_path, capsys, kernel):
-        argv = ["run", "--geometry", "line", "--n", "3", "--t-max", "0.1", "--kernel", kernel,
-                "--k0-vec", "1e308,1e308,0", "--output", str(tmp_path / "k.csv")]
+    @pytest.mark.parametrize("command", ["run", "spectrum"])
+    @pytest.mark.parametrize("geometry,k0_vec", [
+        (["--geometry", "line", "--n", "3"], "1e308,1e308,0"),
+        (["--geometry", "sphere", "--radius", "3"], "1e308,1e308,0"),  # k0.r_j of both signs
+        (["--geometry", "line", "--n", "3"], "0,1e308,0"),  # k0.r_j = 0, but K overflows
+    ], ids=["line", "sphere", "line-perpendicular"])
+    def test_overflowing_k0_vec_is_a_config_error(self, tmp_path, capsys, kernel, command,
+                                                  geometry, k0_vec):
+        argv = [command, *geometry, "--kernel", kernel, "--k0-vec", k0_vec,
+                "--output", str(tmp_path / "k.csv")]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "tdsim: timing phases k0_vec . r_j overflow; use a smaller k0_vec\n")
+            "tdsim: k0 |r_j - r_i| overflows; shrink k0_vec or the ensemble\n")
 
     def test_an_oversized_time_grid_is_a_config_error(self, tmp_path, capsys):
         argv = ["run", "--geometry", "line", "--n", "3", "--dt", "1e-12", "--t-max", "1.0",
