@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FOCK, AmplitudeState
-from .kernels import GeneratorMatrix, generator_array, real_symmetric
+from .kernels import GeneratorMatrix, real_symmetric
 
 __all__ = [
     "Trajectory",
@@ -37,10 +37,11 @@ __all__ = [
     "step_indices",
 ]
 
-EIGEN_COND_LIMIT = 1e12
 EIGEN_SOLVER_MAX_N = 500  # solver "auto": eigen up to this N, krylov above
 SOLVERS = ("auto", "rk4", "eigen", "krylov")
-KRYLOV_TOL = 1e-10  # bound on each Krylov row's error estimate, relative to |beta(0)|
+# bound on each Krylov row's error estimate, relative to |beta(0)|, and on cond(V) eps
+# for every eigenvector basis a state is rebuilt from (eig's and Krylov's alike)
+KRYLOV_TOL = 1e-10
 KRYLOV_MAX_DIM = 160  # Arnoldi vectors in one basis; past it the basis restarts
 _KRYLOV_CHECK = 8  # vectors added between error estimates
 MAX_TIME_ROWS = 10**7  # kept rows of one time grid, counted before it is built
@@ -87,31 +88,32 @@ class EigenSolution:
 
 
 def _resolve(generator, state0):
-    """Accept GeneratorMatrix/AmplitudeState or raw arrays; check tags."""
-    if isinstance(generator, GeneratorMatrix):
-        matrix, g_basis = generator.matrix, generator.basis
-    else:
-        matrix, g_basis = generator_array(generator), None
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("generator must be a square matrix")
-    if isinstance(state0, AmplitudeState):
-        beta0 = state0.amplitudes
-        s_basis = state0.basis
-    else:
-        beta0 = np.asarray(state0, dtype=complex).reshape(-1)
-        s_basis = None
-    if g_basis is not None and s_basis is not None and g_basis != s_basis:
+    """Matrix, amplitudes and basis of a run.  A raw array is wrapped in its type, which
+    checks it, under the other input's basis tag (``fock`` if neither has one); what
+    no single type can check, that the two agree in basis and dimension, is checked here."""
+    if not isinstance(generator, GeneratorMatrix):
+        generator = GeneratorMatrix(generator, getattr(state0, "basis", FOCK))
+    if not isinstance(state0, AmplitudeState):
+        state0 = AmplitudeState(state0, generator.basis)
+    if generator.basis != state0.basis:
         raise ValueError(
-            f"basis mismatch: generator is {g_basis!r}, state is {s_basis!r}"
+            f"basis mismatch: generator is {generator.basis!r}, state is {state0.basis!r}"
         )
-    if beta0.shape[0] != matrix.shape[0]:
+    if generator.n != state0.n:
         raise ValueError(
-            f"dimension mismatch: generator is {matrix.shape[0]}, state is {beta0.shape[0]}"
+            f"dimension mismatch: generator is {generator.n}, state is {state0.n}"
         )
-    if not (np.all(np.isfinite(matrix)) and np.all(np.isfinite(beta0))):
-        raise ValueError("generator and initial state must be finite")
-    basis = g_basis or s_basis or FOCK
-    return matrix, beta0, basis
+    return generator.matrix, state0.amplitudes, generator.basis
+
+
+def _check_conditioned(V) -> None:
+    """Raise unless cond(V) eps <= ``KRYLOV_TOL``: a state rebuilt from the columns of V
+    carries a rounding error that grows with cond(V) (Moler & Van Loan, SIAM Rev. 45, 2003)."""
+    cond = np.linalg.cond(V)
+    if not cond * np.finfo(float).eps <= KRYLOV_TOL:
+        raise DegenerateSpectrumError(
+            f"eigenvector condition number {cond:.3e} times eps exceeds KRYLOV_TOL = "
+            f"{KRYLOV_TOL:.0e}; propagate with RK4 instead (set solver = rk4)")
 
 
 def _apply(matrix, x):
@@ -217,11 +219,11 @@ def krylov_propagate(generator, state0, times) -> Trajectory:
                     break
             V[m] = w / residual
         kept = np.append(ok, False).argmin()  # the times before the first that fails
-        cond = np.linalg.cond(W)  # scales the rounding error of W E, which the estimate omits
-        if not kept or not cond * np.finfo(float).eps <= KRYLOV_TOL:
+        if not kept:
             raise DegenerateSpectrumError(
-                f"Krylov step from t = {t0!r} cannot meet KRYLOV_TOL (eigenvector condition "
-                f"number {cond:.3e}); propagate with RK4 instead (set solver = rk4)")
+                f"Krylov step from t = {t0!r} cannot meet KRYLOV_TOL; "
+                "propagate with RK4 instead (set solver = rk4)")
+        _check_conditioned(W)  # the rounding error of W E, which the estimate omits
         B = W.T @ V[:m]  # the state at t0 + tau_i is E[:, i] @ B
         rows = max(kept - halvings.size, 0)
         np.matmul(E[:, kept - rows:kept].T, B, out=out[row:row + rows])
@@ -231,28 +233,23 @@ def krylov_propagate(generator, state0, times) -> Trajectory:
 
 
 def eigen_decompose(generator, state0) -> EigenSolution:
-    """Eigenpairs with coefficients V c = beta(0); ``eigh`` (V orthogonal) if real symmetric."""
+    """Eigenpairs with coefficients V c = beta(0); ``eigh`` (V orthogonal) if real symmetric,
+    else ``eig`` with V held to the conditioning rule of :func:`_check_conditioned`."""
     matrix, beta0, _ = _resolve(generator, state0)
     if real_symmetric(matrix):
         lam, V = np.linalg.eigh(matrix)
         return EigenSolution(lam, V, _apply(V.T, beta0))
     lam, V = np.linalg.eig(matrix.astype(complex, copy=False))
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > EIGEN_COND_LIMIT:
-        raise DegenerateSpectrumError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds "
-            f"{EIGEN_COND_LIMIT:.0e}; the spectrum is numerically degenerate, "
-            "propagate with RK4 instead (set solver = rk4)"
-        )
+    _check_conditioned(V)
     c = np.linalg.solve(V, beta0)
     return EigenSolution(eigenvalues=lam, eigenvectors=V, coefficients=c)
 
 
 def eigen_solve(generator, state0, times) -> Trajectory:
     """Exact-in-time solution beta(t) = V (c * e^{lambda t}) on a time grid."""
-    matrix, beta0, basis = _resolve(generator, state0)
+    _, beta0, basis = _resolve(generator, state0)
     t = _time_grid(times)
-    sol = eigen_decompose(matrix, beta0)
+    sol = eigen_decompose(generator, state0)
     phases = np.exp(np.outer(sol.eigenvalues, t))
     amp = _apply(sol.eigenvectors, sol.coefficients[:, None] * phases).T
     amp[0] = beta0

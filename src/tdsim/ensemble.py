@@ -138,6 +138,9 @@ def build_sphere_lattice(
         raise ValueError(f"radius must be positive, got {radius!r}")
     if spacing <= 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")
+    if not 2.0 * (radius + spacing) < math.sqrt(np.finfo(float).max):  # (2 reach spacing)^2 fits
+        raise ValueError(f"radius {radius!r} and spacing {spacing!r} are too large: "
+                         "their squared lattice distances overflow")
     reach = int(np.floor(radius / spacing)) + 1
     rng = np.arange(-reach, reach + 1)
     ii, jj, kk = np.meshgrid(rng, rng, rng, indexing="ij")

@@ -38,11 +38,6 @@ __all__ = [
 ]
 
 
-def generator_array(matrix) -> np.ndarray:
-    """``matrix`` as a float64 array if it is real, else as a complex one."""
-    return np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
-
-
 def real_symmetric(matrix: np.ndarray) -> bool:
     """Whether ``matrix`` is float64 and equal to its transpose, so ``eigh`` solves it."""
     return matrix.dtype == np.float64 and np.array_equal(matrix, matrix.T)
@@ -56,7 +51,7 @@ class GeneratorMatrix:
     basis: str
 
     def __post_init__(self):
-        M = generator_array(self.matrix)
+        M = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("generator matrix must be square")
         if not np.all(np.isfinite(M)):

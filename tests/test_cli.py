@@ -380,10 +380,12 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("command", ["run", "spectrum"])
     def test_run_infeasible_geometry(self, tmp_path, capsys, no_generator, command):
-        code = main([command, "--geometry", "sphere", "--radius", "1.0",
-                     "--target-count", "999", "--output", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "target_count" in capsys.readouterr().err
+        for geometry, message in [(["--radius", "1.0", "--target-count", "999"], "target_count"),
+                                  (["--radius", "3", "--spacing", "1e200"], "overflow")]:
+            code = main([command, "--geometry", "sphere", *geometry,
+                         "--output", str(tmp_path / "x.csv")])
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

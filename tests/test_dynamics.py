@@ -28,6 +28,14 @@ def random_stable_matrix(rng, n):
     return -(R @ R.conj().T) / n + 1j * (H + H.conj().T) / 2.0
 
 
+# each propagation method on a common signature, over t in [0, 1]
+ROUTES = (
+    lambda M, beta0: rk4_propagate(M, beta0, dt=0.5, t_max=1.0),
+    lambda M, beta0: eigen_solve(M, beta0, [0.0, 1.0]),
+    lambda M, beta0: krylov_propagate(M, beta0, [0.0, 1.0]),
+)
+
+
 class TestRk4:
     def test_scalar_decay(self):
         traj = rk4_propagate(np.array([[-1.0]]), np.array([1.0]), dt=0.01, t_max=1.0)
@@ -59,8 +67,9 @@ class TestRk4:
     def test_basis_mismatch(self):
         e = build_line(2)
         td = transform_generator(build_transform(e), build_generator(e, "sine"))
-        with pytest.raises(ValueError, match="basis"):
-            rk4_propagate(td, plus_state(e))
+        for route in ROUTES:
+            with pytest.raises(ValueError, match="basis"):
+                route(td, plus_state(e))
 
     def test_invalid_steps(self):
         with pytest.raises(ValueError):
@@ -69,8 +78,18 @@ class TestRk4:
             rk4_propagate(np.array([[-1.0]]), np.array([1.0]), t_max=-1.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            rk4_propagate(np.array([[np.nan]]), np.array([1.0]))
+        # with a non-square generator and a state of the wrong length: raw inputs are
+        # checked by the types they are wrapped in, on every route
+        cases = [
+            (np.array([[np.nan]]), np.array([1.0]), "finite"),
+            (np.array([[-1.0]]), np.array([np.inf]), "finite"),
+            (-np.ones((2, 3)), np.array([1.0, 0.0]), "square"),
+            (-np.eye(2), np.array([1.0, 0.0, 0.0]), "dimension"),
+        ]
+        for route in ROUTES:
+            for M, beta0, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    route(M, beta0)
 
 
 class TestEigenSolve:
@@ -114,6 +133,18 @@ class TestEigenSolve:
         jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(DegenerateSpectrumError, match="rk4"):
             eigen_solve(jordan, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    def test_one_conditioning_rule_for_eigen_and_krylov(self):
+        # eigenvalues -1 +- d, cond(V) ~ 1/d: the eig route was 5.3e-6 off at d = 3e-12
+        for d, ok in ((3e-12, False), (1e-4, True)):
+            M, beta0 = np.array([[-1.0, 1.0], [d * d, -1.0]]), np.array([0.0, 1.0])
+            ref = oracle_expm(M, beta0, 1.0).amplitudes
+            for solve in (eigen_solve, krylov_propagate):
+                if ok:
+                    assert np.abs(solve(M, beta0, [0.0, 1.0]).amplitudes[-1] - ref).max() < 1e-10
+                else:
+                    with pytest.raises(DegenerateSpectrumError, match="rk4"):
+                        solve(M, beta0, [0.0, 1.0])
 
     def test_times_must_start_at_zero(self):
         with pytest.raises(ValueError):

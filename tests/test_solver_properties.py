@@ -1,6 +1,8 @@
 """Properties over random small lines and spheres (N <= 40, both kernels): the
-solvers agree with the expm oracle, and the Krylov route keeps total excitation
-from rising."""
+solvers agree with the expm oracle, the Krylov route keeps total excitation
+from rising, and one-atom sections reduce section states to ladder states."""
+
+from dataclasses import replace
 
 import pytest
 
@@ -9,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from tdsim import (build_generator, build_line, build_sphere_lattice, eigen_solve,
-                   oracle_expm, plus_state, rk4_propagate)
+                   ladder_state, oracle_expm, plus_state, rk4_propagate, section_state)
 from tdsim.dynamics import krylov_propagate, step_indices
 
 
@@ -48,3 +50,11 @@ def test_rk4_agrees_with_the_oracle(ensemble, kernel, t_max):
     rk4 = rk4_propagate(M, beta0, dt=0.01, t_max=t_max)
     ref = oracle_expm(M, beta0, t_max).amplitudes
     assert np.abs(rk4.amplitudes[-1] - ref).max() < 1e-6  # criterion 4
+
+
+@settings(max_examples=20, deadline=None)
+@given(ensemble=ensembles(0.05))
+def test_one_atom_sections_give_the_ladder_states(ensemble):
+    e = replace(ensemble, sections=np.arange(ensemble.n))
+    for m in {2, 3, e.n} & set(range(2, e.n + 1)):
+        assert np.array_equal(section_state(e, m).amplitudes, ladder_state(e, m).amplitudes)
