@@ -3,6 +3,11 @@
 Positions are measured in units of 1/k0, so the dimensionless pair
 quantities are K[j, i] = |k0_vec| * |r_j - r_i| (scalar separation phase)
 and Kvec[j, i] = k0_vec . (r_j - r_i) (timing/propagation phase).
+
+The line and sphere builders also record each atom's integer lattice offset
+and the lattice ``spacing`` (positions = spacing * lattice, exactly), so the
+generator can be assembled from the few distinct lattice distances without
+building K.  A cloud given by positions alone carries neither.
 """
 
 from __future__ import annotations
@@ -29,12 +34,16 @@ class Ensemble:
     never kept) and ``Kvec`` (antisymmetric; cached) are built on access, so
     an ensemble that never reaches a generator keeps no N x N memory.
     ``sections`` (optional) labels each atom with a contiguous-slab
-    section index 0..m-1; see :func:`partition_sections`.
+    section index 0..m-1; see :func:`partition_sections`.  ``lattice`` (an
+    integer (N, 3) array) and ``spacing`` are given together or not at all,
+    with ``positions == spacing * lattice`` exactly.
     """
 
     positions: np.ndarray
     k0_vec: np.ndarray
     sections: np.ndarray | None = None
+    lattice: np.ndarray | None = None
+    spacing: float | None = None
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -69,6 +78,21 @@ class Ensemble:
             if counts.max() - counts.min() > 1:
                 raise ValueError("section sizes may differ by at most 1")
             object.__setattr__(self, "sections", sec)
+
+        if (self.lattice is None) != (self.spacing is None):
+            raise ValueError("lattice and spacing must be given together")
+        if self.lattice is not None:
+            lat = np.asarray(self.lattice)
+            if not np.issubdtype(lat.dtype, np.integer) or lat.shape != (n, 3):
+                raise ValueError("lattice must be an integer (N, 3) array, one row per atom")
+            spacing = float(self.spacing)
+            if not (math.isfinite(spacing) and spacing > 0):
+                raise ValueError(f"spacing must be positive and finite, got {self.spacing!r}")
+            lat = lat.astype(np.int64)  # a wrapped value fails the equality below
+            if not np.array_equal(pos, spacing * lat):
+                raise ValueError("positions must equal spacing * lattice exactly")
+            object.__setattr__(self, "lattice", lat)
+            object.__setattr__(self, "spacing", spacing)
 
     @property
     def n(self) -> int:
@@ -114,9 +138,10 @@ def build_line(n: int, spacing: float = 1.0, k0_vec=(1.0, 0.0, 0.0)) -> Ensemble
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if spacing <= 0:
         raise ValueError(f"spacing must be positive, got {spacing!r}")
-    pos = np.zeros((int(n), 3))
-    pos[:, 0] = spacing * np.arange(int(n))
-    return Ensemble(positions=pos, k0_vec=np.asarray(k0_vec, dtype=float))
+    lattice = np.zeros((int(n), 3), dtype=np.int64)
+    lattice[:, 0] = np.arange(int(n))
+    return Ensemble(positions=spacing * lattice, k0_vec=np.asarray(k0_vec, dtype=float),
+                    lattice=lattice, spacing=spacing)
 
 
 def build_sphere_lattice(
@@ -164,8 +189,8 @@ def build_sphere_lattice(
     kv = np.asarray(k0_vec, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the Ensemble rejects an overflow
         proj = idx @ kv
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -proj, norm2))
-    return Ensemble(positions=spacing * idx[order].astype(float), k0_vec=kv)
+    lattice = idx[np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -proj, norm2))]
+    return Ensemble(positions=spacing * lattice, k0_vec=kv, lattice=lattice, spacing=spacing)
 
 
 def partition_sections(ensemble: Ensemble, m: int, axis=None) -> Ensemble:
@@ -175,7 +200,7 @@ def partition_sections(ensemble: Ensemble, m: int, axis=None) -> Ensemble:
     ties broken lexicographically by coordinates) and split into m
     contiguous groups whose sizes differ by at most one, larger groups
     first.  Returns a new ensemble carrying the section labels; atom
-    order is unchanged.
+    order, lattice and spacing are unchanged.
     """
     n = ensemble.n
     if int(m) != m or m < 1:

@@ -15,8 +15,21 @@ generator entry for entry: Re[i e^{iK}/K] = -sin(K)/K.
 No 1/N prefactor is applied here; the 1/N seen in the TD-basis equations
 of motion comes out of the 1/sqrt(N) state normalizations.
 
-The kernel names live in ``KERNELS``.  Kernel and gamma are checked before K
-is built; M is assembled in place, float64 for sine and complex for exp.
+The kernel names live in ``KERNELS``.  Kernel and gamma are checked before
+any N x N work; M is float64 for sine and complex for exp.  Two assembly
+paths, picked by the ensemble:
+
+* lattice (the ensemble carries ``lattice`` and ``spacing``, as every line
+  and sphere builder output does): the kernel is evaluated once per lattice
+  distance, at k0 * spacing * |offset| with |offset|^2 an integer, and M is
+  gathered from that table one row block at a time.  A line is keyed by
+  |i - j| (a Toeplitz matrix), any other lattice by the squared offset.  No
+  K is built; the peak is M plus one block's integer keys.  The exp table is
+  built from the sine table's own ``sin`` values, so the real part of the
+  exp generator equals the sine generator bit for bit.
+* ``K`` (any other cloud, or a lattice so sparse that its table would
+  hold more than max(N^2, ``MIN_TABLE_LIMIT``) entries): the kernel on the
+  whole pair matrix, assembled in place, so the peak is K plus M.
 """
 
 from __future__ import annotations
@@ -29,6 +42,10 @@ from .basis import FOCK, TD, TDTransform, ladder_weights
 from .ensemble import Ensemble
 
 KERNELS = ("sine", "exp")
+# keys per row block on the lattice path (two int64 blocks of scratch, cache-sized)
+BLOCK_KEYS = 1 << 16
+# the lattice path's table may hold up to max(N^2, this many) entries
+MIN_TABLE_LIMIT = 1 << 16
 
 __all__ = [
     "GeneratorMatrix",
@@ -65,12 +82,55 @@ class GeneratorMatrix:
         return self.matrix.shape[0]
 
 
+def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray | None:
+    """Kernel values gathered from a table over the lattice distances; None if it is too big."""
+    n, lattice = ensemble.n, ensemble.lattice
+    spans = [int(col.max()) - int(col.min()) for col in lattice.T]
+    axes = [a for a, span in enumerate(spans) if span > 0] or [0]
+    line = len(axes) == 1
+    size = (spans[axes[0]] if line else sum(span * span for span in spans)) + 1
+    if size > max(n * n, MIN_TABLE_LIMIT):
+        return None
+    dist = np.arange(1, size, dtype=float)  # |offset| (line) or |offset|^2, in lattice units
+    if not line:
+        np.sqrt(dist, out=dist)
+    x = np.multiply(dist, ensemble.k0 * ensemble.spacing, out=dist)
+    table = np.empty(size, dtype=float if kernel == "sine" else complex)
+    table[0] = -gamma
+    np.multiply(np.sin(x), -gamma, out=table.real[1:])
+    table.real[1:] /= x
+    if kernel == "exp":
+        np.multiply(np.cos(x), gamma, out=table.imag[1:])
+        table.imag[1:] /= x
+
+    cols = [np.ascontiguousarray(lattice[:, a]) for a in axes]
+    fold = np.abs if line else np.square
+    M = np.empty((n, n), dtype=table.dtype)
+    key = np.empty((min(n, max(1, BLOCK_KEYS // n)), n), dtype=np.intp)
+    step = np.empty_like(key) if len(cols) > 1 else None
+    for r0 in range(0, n, key.shape[0]):
+        r1 = min(r0 + key.shape[0], n)
+        k = key[:r1 - r0]
+        for a, col in enumerate(cols):
+            out = step[:r1 - r0] if a else k
+            np.subtract.outer(col[r0:r1], col, out=out)
+            fold(out, out=out)
+            if a:
+                k += out
+        np.take(table, k, out=M[r0:r1], mode="clip")  # keys < size by construction
+    return M
+
+
 def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
-    """Fock-basis kernel values on the K matrix, self terms set to -gamma."""
+    """Fock-basis kernel values, self terms set to -gamma."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel tag {kernel!r}")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
+    if ensemble.lattice is not None:
+        M = _lattice_matrix(ensemble, kernel, gamma)
+        if M is not None:
+            return M
     K = ensemble.K
     with np.errstate(divide="ignore", invalid="ignore"):
         if kernel == "sine":

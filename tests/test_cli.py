@@ -57,6 +57,15 @@ def no_generator(monkeypatch):
 
 
 @pytest.fixture
+def no_K(monkeypatch):
+    """Make any build of the pair matrix ``Ensemble.K`` fail the test."""
+    def refuse(self):
+        raise AssertionError("K was built on the run path")
+
+    monkeypatch.setattr(Ensemble, "K", property(refuse))
+
+
+@pytest.fixture
 def no_oracles(monkeypatch):
     """Make every verification oracle fail the test if anything calls it."""
     import tdsim
@@ -294,6 +303,17 @@ class TestRunPipeline:
         result = simulate(config)
         assert result.config.solver == solver
         assert len(result.columns) == result.ensemble.n + 1 + (init == "section:2")
+
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    @pytest.mark.parametrize("geometry", [["--geometry", "line", "--n", "40"],
+                                          ["--geometry", "sphere", "--radius", "2.5",
+                                           "--sections", "2", "--init", "section:2"]])
+    def test_lattice_runs_build_no_K(self, tmp_path, no_K, geometry, kernel):
+        assert main(["run", *geometry, "--kernel", kernel, "--t-max", "0.5",
+                     "--output", str(tmp_path / "run.csv")]) == 0
+
+    def test_lattice_spectrum_builds_no_K(self, tmp_path, no_K):
+        assert main(["spectrum", "--preset", "fig2", "--output", str(tmp_path / "s.csv")]) == 0
 
     def test_render_includes_resolved_solver(self):
         [(_, config)] = parse_config(dict(QUICK))

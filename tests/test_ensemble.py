@@ -95,6 +95,49 @@ class TestPairGeometry:
         assert "K" not in vars(result.ensemble)
 
 
+class TestLatticeFields:
+    @pytest.mark.parametrize("e", [build_line(7, spacing=0.37),
+                                   build_sphere_lattice(3.0, 0.8, target_count=60)])
+    def test_builders_record_lattice_and_spacing(self, e):
+        assert e.lattice.dtype == np.int64 and e.lattice.shape == (e.n, 3)
+        assert np.array_equal(e.positions, e.spacing * e.lattice)
+
+    def test_positions_alone_carry_no_lattice(self):
+        e = Ensemble(positions=np.eye(3), k0_vec=np.array([1.0, 0.0, 0.0]))
+        assert e.lattice is None and e.spacing is None
+
+    def test_partition_keeps_lattice_and_spacing(self):
+        e = build_sphere_lattice(3.0, 0.8, target_count=60)
+        parted = partition_sections(e, 3)
+        assert parted.spacing == e.spacing
+        assert np.array_equal(parted.lattice, e.lattice)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(lattice=np.eye(3, dtype=int)), "given together"),
+        (dict(spacing=0.5), "given together"),
+        (dict(lattice=np.eye(3), spacing=0.5), "integer"),
+        (dict(lattice=np.eye(3, dtype=int)[:2], spacing=0.5), r"\(N, 3\)"),
+        (dict(lattice=np.eye(3, dtype=int).ravel(), spacing=0.5), r"\(N, 3\)"),
+        (dict(lattice=np.eye(3, dtype=int), spacing=0.0), "positive and finite"),
+        (dict(lattice=np.eye(3, dtype=int), spacing=-0.5), "positive and finite"),
+        (dict(lattice=np.eye(3, dtype=int), spacing=np.inf), "positive and finite"),
+        (dict(lattice=np.eye(3, dtype=int), spacing=np.nan), "positive and finite"),
+        (dict(lattice=np.eye(3, dtype=int), spacing=0.25), "exactly"),
+        (dict(lattice=np.eye(3, dtype=np.uint64) * (2**64 - 1), spacing=0.5), "exactly"),
+    ])
+    def test_bad_lattice_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            Ensemble(positions=0.5 * np.eye(3), k0_vec=np.array([1.0, 0.0, 0.0]), **fields)
+
+    def test_nearly_equal_positions_rejected(self):
+        lattice = np.array([[0, 0, 0], [1, 0, 0]])
+        pos = 0.1 * lattice.astype(float)
+        pos[1, 0] = np.nextafter(pos[1, 0], 1.0)
+        with pytest.raises(ValueError, match="exactly"):
+            Ensemble(positions=pos, k0_vec=np.array([1.0, 0.0, 0.0]), lattice=lattice,
+                     spacing=0.1)
+
+
 class TestSphereLattice:
     def test_radius_three_count(self):
         e = build_sphere_lattice(3.0, 1.0)

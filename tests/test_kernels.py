@@ -12,7 +12,8 @@ from tdsim import (
     build_transform,
     transform_generator,
 )
-from tdsim.kernels import KERNELS
+from tdsim import kernels
+from tdsim.kernels import BLOCK_KEYS, KERNELS
 
 # the whole-array expressions of the kernels, diagonal set afterwards
 REFERENCE = {
@@ -31,6 +32,31 @@ def fig2_sphere():
 @pytest.fixture(scope="module")
 def line300():
     return build_line(300, spacing=0.37)
+
+
+@pytest.fixture(scope="module")
+def fig4_sphere():
+    spacing = 0.75 * 2 * np.pi
+    return build_sphere_lattice(6.25 * spacing, spacing, target_count=1000)
+
+
+@pytest.fixture(scope="module")
+def stiff_line():
+    return build_line(600, spacing=0.05)
+
+
+@pytest.fixture(scope="module")
+def plane():
+    # a 7 x 5 grid in the z = 3 plane: squared-offset keys with one axis not varying
+    ii, jj = np.meshgrid(np.arange(-3, 4), np.arange(5), indexing="ij")
+    lattice = np.column_stack([ii.ravel(), jj.ravel(), np.full(ii.size, 3)])
+    return Ensemble(positions=0.6 * lattice, k0_vec=np.array([0.6, 0.0, 0.8]),
+                    lattice=lattice, spacing=0.6)
+
+
+def positions_only(e):
+    """The same points without their lattice, so the generator is built from K."""
+    return Ensemble(positions=e.positions, k0_vec=e.k0_vec)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +134,15 @@ class TestKernelIdentities:
         herm = 0.5 * (M_exp + M_exp.conj().T)
         assert np.abs(herm - M_sin).max() < 1e-12
 
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    @pytest.mark.parametrize("name", ["fig2_sphere", "fig4_sphere", "line300"])
+    def test_lattice_exp_real_part_is_the_sine_generator_bitwise(self, name, gamma, request):
+        e = request.getfixturevalue(name)
+        M_exp = build_generator(e, "exp", gamma).matrix
+        M_sin = build_generator(e, "sine", gamma).matrix
+        assert np.array_equal(np.ascontiguousarray(M_exp.real).view(np.uint64),
+                              M_sin.view(np.uint64))
+
     @pytest.mark.parametrize("kernel", ["sine", "exp"])
     def test_hermitian_part_negative_semidefinite(self, fig2_sphere, kernel):
         M = build_generator(fig2_sphere, kernel).matrix
@@ -149,11 +184,13 @@ class TestTdDirectAssembly:
 
 
 class TestInPlaceAssembly:
+    """The K path: clouds given by their positions alone."""
+
     @pytest.mark.parametrize("gamma", [1.0, 0.7])
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("name", ["fig2_sphere", "line300"])
     def test_bitwise_equal_to_whole_array_expression(self, kernel, gamma, name, request):
-        e = request.getfixturevalue(name)
+        e = positions_only(request.getfixturevalue(name))
         with np.errstate(divide="ignore", invalid="ignore"):
             ref = np.asarray(REFERENCE[kernel](e.K, gamma), dtype=DTYPES[kernel])
         np.fill_diagonal(ref, -gamma)
@@ -163,7 +200,7 @@ class TestInPlaceAssembly:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_peak_memory_is_K_plus_M(self, kernel):
-        e = build_line(600, spacing=0.8)
+        e = positions_only(build_line(600, spacing=0.8))
         tracemalloc.start()
         try:
             build_generator(e, kernel)
@@ -175,14 +212,88 @@ class TestInPlaceAssembly:
         assert peak <= (8 + np.dtype(DTYPES[kernel]).itemsize) * e.n ** 2 + 2 ** 20
 
     def test_bad_arguments_raise_before_K(self, monkeypatch):
-        e = build_line(4)
+        def refuse(*args):
+            raise AssertionError("N x N assembly started")
 
+        monkeypatch.setattr(Ensemble, "K", property(refuse))
+        monkeypatch.setattr(kernels, "_lattice_matrix", refuse)
+        for e in (build_line(4), positions_only(build_line(4))):
+            for build in (build_generator, assemble_td_direct):
+                with pytest.raises(ValueError, match="unknown kernel tag 'cosine'"):
+                    build(e, "cosine")
+                with pytest.raises(ValueError, match="gamma must be positive, got 0"):
+                    build(e, "sine", gamma=0)
+                with pytest.raises(ValueError, match="gamma must be positive, got -1"):
+                    build(e, "exp", gamma=-1.0)
+
+
+def lattice_reference(e, kernel, gamma):
+    """The whole-array kernel expression on the exact integer lattice distances."""
+    d2 = sum(np.subtract.outer(col, col) ** 2 for col in e.lattice.T)
+    x = np.sqrt(d2) * (e.k0 * e.spacing)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = -gamma * np.sin(x) / x
+        if kernel == "exp":
+            ref = ref + 1j * (gamma * np.cos(x) / x)
+    np.fill_diagonal(ref, -gamma)
+    return ref
+
+
+class TestLatticeAssembly:
+    """The table path: ensembles that carry their integer lattice."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 0.7])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name", ["fig2_sphere", "line300", "plane"])
+    def test_bitwise_equal_to_whole_array_expression(self, kernel, gamma, name, request):
+        e = request.getfixturevalue(name)
+        ref = lattice_reference(e, kernel, gamma)
+        M = build_generator(e, kernel, gamma).matrix
+        assert M.dtype == DTYPES[kernel]
+        assert np.array_equal(M.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name", ["fig2_sphere", "fig4_sphere", "line300", "stiff_line",
+                                      "plane"])
+    def test_agrees_with_the_K_path(self, kernel, name, request):
+        e = request.getfixturevalue(name)
+        M = build_generator(e, kernel).matrix
+        M_K = build_generator(positions_only(e), kernel).matrix
+        # the K path rounds each float spacing * (i - j) on its own; the table does not
+        assert np.abs(M - M_K).max() <= 1e-12 * np.abs(M_K).max()
+
+    def test_builds_no_K(self, monkeypatch, fig4_sphere, line300):
         def no_K(self):
             raise AssertionError("K was built")
 
         monkeypatch.setattr(Ensemble, "K", property(no_K))
-        for build in (build_generator, assemble_td_direct):
-            with pytest.raises(ValueError, match="unknown kernel tag 'cosine'"):
-                build(e, "cosine")
-            with pytest.raises(ValueError, match="gamma must be positive, got 0"):
-                build(e, "sine", gamma=0)
+        for e in (fig4_sphere, line300, build_line(1)):
+            for kernel in KERNELS:
+                assert build_generator(e, kernel).n == e.n
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name", ["fig4_sphere", "stiff_line"])
+    def test_peak_memory_is_M_plus_one_block(self, kernel, name, request):
+        e = request.getfixturevalue(name)
+        itemsize = np.dtype(DTYPES[kernel]).itemsize
+        tracemalloc.start()
+        try:
+            build_generator(e, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # M, two int64 key blocks of max(BLOCK_KEYS, N) entries, the table with its float
+        # distances, sin and cos (at most 3 span^2 + 1 entries), and numpy's ufunc buffers
+        block = 2 * 8 * max(BLOCK_KEYS, e.n)
+        table = (itemsize + 24) * (3 * int(np.ptp(e.lattice, axis=0).max()) ** 2 + 1)
+        assert peak <= itemsize * e.n ** 2 + block + table + 2 ** 18
+
+    def test_sparse_lattice_takes_the_K_path(self):
+        # squared offsets up to about 2 * 10^6: a table past MIN_TABLE_LIMIT entries
+        lattice = np.array([[0, 0, 0], [1000, 1000, 0], [-3, 7, 1]])
+        e = Ensemble(positions=0.01 * lattice, k0_vec=np.array([1.0, 0.0, 0.0]),
+                     lattice=lattice, spacing=0.01)
+        for kernel in KERNELS:
+            assert kernels._lattice_matrix(e, kernel, 1.0) is None
+            M = build_generator(e, kernel).matrix
+            assert np.array_equal(M, build_generator(positions_only(e), kernel).matrix)
