@@ -2,8 +2,8 @@
 
 :func:`step_indices` owns the time-grid rule (``t_max`` a multiple of ``dt``).
 :func:`propagate` is a run's one entry point: it holds the ``auto`` rule
-(eigen for N <= ``EIGEN_SOLVER_MAX_N``, Krylov above) and dispatches to one
-of three independent routes, which must agree:
+(eigen where one Krylov basis would span the whole space, N <= ``KRYLOV_MAX_DIM``,
+Krylov above) and dispatches to one of three independent routes, which must agree:
 
 * :func:`rk4_propagate`    -- classical fixed-step Runge-Kutta 4, the
   reference method (default dt = 0.01 in units of 1/gamma);
@@ -37,12 +37,12 @@ __all__ = [
     "step_indices",
 ]
 
-EIGEN_SOLVER_MAX_N = 500  # solver "auto": eigen up to this N, krylov above
 SOLVERS = ("auto", "rk4", "eigen", "krylov")
 # bound on each Krylov row's error estimate, relative to |beta(0)|, and on cond(V) eps
 # for every eigenvector basis a state is rebuilt from (eig's and Krylov's alike)
 KRYLOV_TOL = 1e-10
 KRYLOV_MAX_DIM = 160  # Arnoldi vectors in one basis; past it the basis restarts
+# (solver "auto" takes eigen up to this N, where one basis could hold the whole space)
 _KRYLOV_CHECK = 8  # vectors added between error estimates
 MAX_TIME_ROWS = 10**7  # kept rows of one time grid, counted before it is built
 
@@ -158,7 +158,7 @@ def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
         raise ValueError(f"solver must be one of {list(SOLVERS)}, got {solver!r}")
     if solver == "auto":
         n = np.shape(getattr(generator, "matrix", generator))[0]
-        solver = "eigen" if n <= EIGEN_SOLVER_MAX_N else "krylov"
+        solver = "eigen" if n <= KRYLOV_MAX_DIM else "krylov"
     if solver == "rk4":
         return rk4_propagate(generator, state0, dt, t_max, stride)
     solve = eigen_solve if solver == "eigen" else krylov_propagate

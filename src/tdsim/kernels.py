@@ -28,8 +28,8 @@ paths, picked by the ensemble:
   built from the sine table's own ``sin`` values, so the real part of the
   exp generator equals the sine generator bit for bit.
 * ``K`` (any other cloud, or a lattice so sparse that its table would
-  hold more than max(N^2, ``MIN_TABLE_LIMIT``) entries): the kernel on the
-  whole pair matrix, assembled in place, so the peak is K plus M.
+  hold more than N^2 entries, the size of the pair matrix it replaces): the
+  kernel on the whole pair matrix, assembled in place, so the peak is K plus M.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .ensemble import Ensemble
 KERNELS = ("sine", "exp")
 # keys per row block on the lattice path (two int64 blocks of scratch, cache-sized)
 BLOCK_KEYS = 1 << 16
-# the lattice path's table may hold up to max(N^2, this many) entries
-MIN_TABLE_LIMIT = 1 << 16
 
 __all__ = [
     "GeneratorMatrix",
@@ -89,7 +87,7 @@ def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray
     axes = [a for a, span in enumerate(spans) if span > 0] or [0]
     line = len(axes) == 1
     size = (spans[axes[0]] if line else sum(span * span for span in spans)) + 1
-    if size > max(n * n, MIN_TABLE_LIMIT):
+    if size > n * n:  # no bigger than the pair matrix it replaces
         return None
     dist = np.arange(1, size, dtype=float)  # |offset| (line) or |offset|^2, in lattice units
     if not line:

@@ -26,6 +26,7 @@ from tdsim.cli import (
     spectrum,
     spectrum_eigenvalues,
 )
+from tdsim.dynamics import KRYLOV_MAX_DIM
 
 QUICK = dict(geometry="line", n="4", t_max="1.0", tracked="plus,2")
 # fig4's six runs on 60 atoms, 100 RK4 steps each
@@ -518,6 +519,30 @@ class TestMainEntry:
         assert main(["run", "--geometry", "line", "--n", "501", "--t-max", "0.02",
                      "--output", str(out)]) == 0
         assert "# solver = krylov\n" in out.read_text()
+
+    @pytest.mark.parametrize("init", ["plus", "ladder:2"])
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    @pytest.mark.parametrize("geometry", [
+        ["--geometry", "line", "--n", str(KRYLOV_MAX_DIM + 1), "--spacing", "0.8"],
+        ["--geometry", "sphere", "--radius", "4.5", "--target-count", str(KRYLOV_MAX_DIM + 1)],
+    ])
+    def test_auto_just_past_the_switch_matches_eigen(self, tmp_path, geometry, kernel, init):
+        argv = ["run", *geometry, "--kernel", kernel, "--init", init, "--tracked", "plus,2,3",
+                "--t-max", "10"]
+        rows = {}
+        for solver in ("auto", "eigen"):
+            out = tmp_path / f"{solver}.csv"
+            assert main([*argv, "--solver", solver, "--output", str(out)]) == 0
+            meta, header, rows[solver] = read_rows(out)
+            assert meta["solver"] == ("krylov" if solver == "auto" else "eigen")
+        assert rows["auto"].shape == rows["eigen"].shape == (1001, len(header))
+        assert np.abs(rows["auto"] - rows["eigen"]).max() <= 1e-10
+
+    @pytest.mark.parametrize("preset", ["fig1a", "fig2"])
+    def test_auto_presets_at_or_below_the_switch_echo_eigen(self, tmp_path, preset):
+        out = tmp_path / "p.csv"
+        assert main(["run", "--preset", preset, "--output", str(out)]) == 0
+        assert "# solver = eigen\n" in out.read_text()
 
     @pytest.mark.parametrize("kernel", ["sine", "exp"])
     @pytest.mark.parametrize("k0_vec,code", [("1e200,0,0", 0), ("1e-200,0,0", 0),

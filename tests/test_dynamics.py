@@ -18,7 +18,13 @@ from tdsim import (
     transform_generator,
 )
 from tdsim.basis import AmplitudeState
-from tdsim.dynamics import DegenerateSpectrumError, Trajectory, krylov_propagate, step_indices
+from tdsim.dynamics import (
+    KRYLOV_MAX_DIM,
+    DegenerateSpectrumError,
+    Trajectory,
+    krylov_propagate,
+    step_indices,
+)
 
 
 def random_stable_matrix(rng, n):
@@ -342,8 +348,8 @@ class TestPropagate:
         return eigen_solve(M, beta0, self.GRID)
 
     @pytest.mark.parametrize("n,solver,method", [
-        (500, "auto", "eigen"),
-        (501, "auto", "krylov"),
+        (KRYLOV_MAX_DIM, "auto", "eigen"),
+        (KRYLOV_MAX_DIM + 1, "auto", "krylov"),
         (500, "rk4", "rk4"),
         (501, "eigen", "eigen"),
     ])

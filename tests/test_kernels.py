@@ -289,7 +289,7 @@ class TestLatticeAssembly:
         assert peak <= itemsize * e.n ** 2 + block + table + 2 ** 18
 
     def test_sparse_lattice_takes_the_K_path(self):
-        # squared offsets up to about 2 * 10^6: a table past MIN_TABLE_LIMIT entries
+        # squared offsets up to about 2 * 10^6: a table far past N^2 = 9 entries
         lattice = np.array([[0, 0, 0], [1000, 1000, 0], [-3, 7, 1]])
         e = Ensemble(positions=0.01 * lattice, k0_vec=np.array([1.0, 0.0, 0.0]),
                      lattice=lattice, spacing=0.01)
