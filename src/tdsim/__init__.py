@@ -2,10 +2,10 @@
 
 Builds line and spherical-lattice ensembles, assembles the sine- and
 exponential-kernel decay generators for the single-excitation amplitudes,
-transforms between the Fock and timed-Dicke bases, propagates by RK4,
-eigendecomposition or Krylov projection, and reduces trajectories to
-populations, transfer curves and decay times.  The ``tdsim`` CLI exposes
-figure presets that emit CSV trajectories.
+transforms between the Fock and timed-Dicke bases, propagates by
+eigendecomposition or Krylov projection (RK4 is kept as a reference), and
+reduces trajectories to populations, transfer curves and decay times.  The
+``tdsim`` CLI exposes figure presets that emit CSV trajectories.
 """
 
 from .basis import (

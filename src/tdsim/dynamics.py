@@ -3,15 +3,16 @@
 :func:`step_indices` owns the time-grid rule (``t_max`` a multiple of ``dt``).
 :func:`propagate` is a run's one entry point: it holds the ``auto`` rule
 (eigen where one Krylov basis would span the whole space, N <= ``KRYLOV_MAX_DIM``,
-Krylov above) and dispatches to one of three independent routes, which must agree:
+Krylov above) and passes the time grid to one of two routes, each held to
+``KRYLOV_TOL`` or raising:
 
-* :func:`rk4_propagate`    -- classical fixed-step Runge-Kutta 4, the
-  reference method (default dt = 0.01 in units of 1/gamma);
 * :func:`eigen_solve`      -- spectral solution sum_i c_i V_i e^{l_i t} (eigh if real symmetric);
-* :func:`krylov_propagate` -- Arnoldi bases checked by Saad's error estimate;
-* :func:`oracle_expm`      -- scaling-and-squaring matrix exponential with a
-  truncated-series core, written independently of the others and used
-  only as a verification oracle.
+* :func:`krylov_propagate` -- Arnoldi bases checked by Saad's error estimate.
+
+Two references only cross-check them, and no run goes through either:
+
+* :func:`rk4_propagate`    -- classical fixed-step Runge-Kutta 4 (default dt = 0.01 / gamma);
+* :func:`oracle_expm`      -- scaling-and-squaring matrix exponential, truncated-series core.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "step_indices",
 ]
 
-SOLVERS = ("auto", "rk4", "eigen", "krylov")
+SOLVERS = ("auto", "eigen", "krylov")
 # bound on each Krylov row's error estimate, relative to |beta(0)|, and on cond(V) eps
 # for every eigenvector basis a state is rebuilt from (eig's and Krylov's alike)
 KRYLOV_TOL = 1e-10
@@ -113,7 +114,7 @@ def _check_conditioned(V) -> None:
     if not cond * np.finfo(float).eps <= KRYLOV_TOL:
         raise DegenerateSpectrumError(
             f"eigenvector condition number {cond:.3e} times eps exceeds KRYLOV_TOL = "
-            f"{KRYLOV_TOL:.0e}; propagate with RK4 instead (set solver = rk4)")
+            f"{KRYLOV_TOL:.0e}")
 
 
 def _apply(matrix, x):
@@ -159,8 +160,6 @@ def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     if solver == "auto":
         n = np.shape(getattr(generator, "matrix", generator))[0]
         solver = "eigen" if n <= KRYLOV_MAX_DIM else "krylov"
-    if solver == "rk4":
-        return rk4_propagate(generator, state0, dt, t_max, stride)
     solve = eigen_solve if solver == "eigen" else krylov_propagate
     return solve(generator, state0, step_indices(dt, t_max, stride) * dt)
 
@@ -221,8 +220,8 @@ def krylov_propagate(generator, state0, times) -> Trajectory:
         kept = np.append(ok, False).argmin()  # the times before the first that fails
         if not kept:
             raise DegenerateSpectrumError(
-                f"Krylov step from t = {t0!r} cannot meet KRYLOV_TOL; "
-                "propagate with RK4 instead (set solver = rk4)")
+                f"no Krylov step from t = {t0!r} meets its error bound, KRYLOV_TOL = "
+                f"{KRYLOV_TOL:.0e} times |beta(0)|")
         _check_conditioned(W)  # the rounding error of W E, which the estimate omits
         B = W.T @ V[:m]  # the state at t0 + tau_i is E[:, i] @ B
         rows = max(kept - halvings.size, 0)

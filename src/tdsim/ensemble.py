@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -30,9 +29,9 @@ __all__ = [
 class Ensemble:
     """Immutable set of atom positions plus the driving wavevector.
 
-    The pair matrices ``K`` (symmetric, zero diagonal; rebuilt on each access,
-    never kept) and ``Kvec`` (antisymmetric; cached) are built on access, so
-    an ensemble that never reaches a generator keeps no N x N memory.
+    The pair matrices ``K`` (symmetric, zero diagonal) and ``Kvec``
+    (antisymmetric) are rebuilt on each access and never kept, so an
+    ensemble keeps no N x N memory.
     ``sections`` (optional) labels each atom with a contiguous-slab
     section index 0..m-1; see :func:`partition_sections`.  ``lattice`` (an
     integer (N, 3) array) and ``spacing`` are given together or not at all,
@@ -109,7 +108,7 @@ class Ensemble:
         dist *= self.k0
         return dist
 
-    @cached_property
+    @property
     def Kvec(self) -> np.ndarray:
         proj = self.positions @ self.k0_vec
         # projection differences, exact antisymmetry by construction

@@ -9,6 +9,10 @@ tier-1 suite adds about 6.5 s.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,3 +258,43 @@ def test_criterion_11_determinism(tmp_path):
         assert text_a == text_b, f"{preset}: repeated runs differ"
         (tmp_path / f"{preset}.csv").write_text(text_a)
     report(11, "repeated preset runs render bit-identical CSV")
+
+
+# the reproducibility contract's two routes: eigen (fig2) and Krylov (N = 200 > 160)
+CONTRACT_RUNS = {"fig2": ["--preset", "fig2", "--t-max", "1"],
+                 "line": ["--geometry", "line", "--n", "200", "--kernel", "exp", "--t-max", "1"]}
+CONTRACT_CHILD = """import sys
+from tdsim.cli import main
+for name, args in {runs!r}.items():
+    if main(["run", *args, "--output", f"{{sys.argv[1]}}/{{name}}.csv"]) != 0:
+        sys.exit(1)
+"""
+
+
+def _csv_parts(path):
+    lines = path.read_text().splitlines()
+    body = [line for line in lines if not line.startswith("# ")]
+    rows = np.array([[float(x) for x in row.split(",")] for row in body[1:]])
+    return [line for line in lines if line.startswith("# ")], body[0], rows
+
+
+def test_criterion_11_across_processes_and_blas_thread_counts(tmp_path):
+    """Bit-identical for one BLAS thread count, within 1e-12 absolute across counts."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = CONTRACT_CHILD.format(runs=CONTRACT_RUNS)
+    procs = []
+    for name, threads in (("two_a", "2"), ("two_b", "2"), ("one", "1")):
+        (tmp_path / name).mkdir()
+        procs.append(subprocess.Popen(
+            [sys.executable, "-c", child, str(tmp_path / name)], stdout=subprocess.DEVNULL,
+            env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)))
+    assert [proc.wait(timeout=300) for proc in procs] == [0, 0, 0]
+    worst = 0.0
+    for run in CONTRACT_RUNS:
+        two_a, two_b, one = (tmp_path / name / f"{run}.csv" for name in ("two_a", "two_b", "one"))
+        assert two_a.read_bytes() == two_b.read_bytes(), f"{run}: same thread count differs"
+        (meta_2, header_2, rows_2), (meta_1, header_1, rows_1) = map(_csv_parts, (two_a, one))
+        assert (meta_1, header_1) == (meta_2, header_2) and rows_1.shape == rows_2.shape
+        worst = max(worst, np.abs(rows_1 - rows_2).max())
+    assert worst <= 1e-12
+    report(11, f"byte-identical at 2 BLAS threads; 1 vs 2 threads differ by {worst:.1e}")

@@ -29,10 +29,10 @@ from tdsim.cli import (
 from tdsim.dynamics import KRYLOV_MAX_DIM
 
 QUICK = dict(geometry="line", n="4", t_max="1.0", tracked="plus,2")
-# fig4's six runs on 60 atoms, 100 RK4 steps each
-SMALL_FIG4 = dict(target_count=60, t_max=1.0, solver="rk4")
+# fig4's six runs on 60 atoms, 101 rows each, by an explicit Krylov solver
+SMALL_FIG4 = dict(target_count=60, t_max=1.0, solver="krylov")
 SMALL_FIG4_FLAGS = ["--preset", "fig4", "--target-count", "60", "--t-max", "1.0",
-                    "--solver", "rk4"]
+                    "--solver", "krylov"]
 
 
 def read_rows(path):
@@ -266,13 +266,13 @@ class TestRunPipeline:
             assert rows[:, j].tolist() == series.values.tolist()
         assert rows[:, 0].tolist() == result.trajectory.times.tolist()
 
-    def test_rk4_and_eigen_solvers_agree_in_csv(self, tmp_path):
+    def test_krylov_and_eigen_solvers_agree_in_csv(self, tmp_path):
         base = dict(QUICK)
         [(_, c_eig)] = parse_config({**base, "solver": "eigen"})
-        [(_, c_rk4)] = parse_config({**base, "solver": "rk4"})
+        [(_, c_kry)] = parse_config({**base, "solver": "krylov"})
         _, _, rows_e = read_rows(run(c_eig, tmp_path / "e.csv"))
-        _, _, rows_r = read_rows(run(c_rk4, tmp_path / "r.csv"))
-        assert np.abs(rows_e - rows_r).max() < 1e-8
+        _, _, rows_k = read_rows(run(c_kry, tmp_path / "k.csv"))
+        assert np.abs(rows_e - rows_k).max() < 1e-8
 
     def test_stride_thins_output(self, tmp_path):
         [(_, config)] = parse_config({**QUICK, "stride": "10"})
@@ -295,7 +295,7 @@ class TestRunPipeline:
             simulate(config)
 
     @pytest.mark.parametrize("kernel", ["sine", "exp"])
-    @pytest.mark.parametrize("solver", ["rk4", "eigen"])
+    @pytest.mark.parametrize("solver", ["krylov", "eigen"])
     @pytest.mark.parametrize("init", ["ladder:2", "section:2"])
     def test_run_path_uses_no_oracle(self, no_oracles, kernel, solver, init):
         [(_, config)] = parse_config(
@@ -472,6 +472,18 @@ class TestMainEntry:
         assert capsys.readouterr().err == f"tdsim: {message}\n"
         assert not out.exists()
 
+    def test_retired_rk4_solver_exits_2_before_the_generator(self, tmp_path, capsys,
+                                                              no_generator):
+        cfg = tmp_path / "rk4.cfg"
+        cfg.write_text("geometry = line\nn = 3\nt_max = 0.5\nsolver = rk4\n")
+        out = tmp_path / "x.csv"
+        for source in (["--geometry", "line", "--n", "3", "--solver", "rk4"],
+                       ["--config", str(cfg)]):
+            assert main(["run", *source, "--output", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "tdsim: solver must be one of ['auto', 'eigen', 'krylov'], got 'rk4'\n")
+            assert list(tmp_path.iterdir()) == [cfg]
+
     def test_config_file_output_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.cfg"
@@ -610,8 +622,7 @@ class TestMainEntry:
 class TestGroupedRuns:
     """One CLI call builds each distinct generator once: fig4's six runs use two."""
 
-    def test_fig4_builds_two_generators_and_two_step_matrices(self, tmp_path, capsys,
-                                                              counted):
+    def test_fig4_builds_two_generators(self, tmp_path, capsys, counted):
         argv = ["run", *SMALL_FIG4_FLAGS, "--output", str(tmp_path / "g.csv")]
         assert main(argv) == 0
         assert counted["generator"] == 2

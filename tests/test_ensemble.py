@@ -48,6 +48,14 @@ class TestPairGeometry:
         e = build_sphere_lattice(2.0, k0_vec=(0.3, -1.2, 0.4))
         assert np.array_equal(e.Kvec, -e.Kvec.T)
 
+    def test_pair_matrices_are_rebuilt_and_never_kept(self):
+        e = build_sphere_lattice(2.0)
+        for name in ("K", "Kvec"):
+            first = getattr(e, name)
+            assert getattr(e, name) is not first
+            assert np.array_equal(getattr(e, name), first)
+        assert vars(e).keys() == {"positions", "k0_vec", "sections", "lattice", "spacing"}
+
     @pytest.mark.parametrize("spacing", [1.0, 0.5, 2.0])
     def test_line_pair_values_exact(self, spacing):
         n = 7

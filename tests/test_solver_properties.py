@@ -1,6 +1,8 @@
-"""Properties over random small lines and spheres (N <= 40, both kernels): the
-solvers agree with the expm oracle, the Krylov route keeps total excitation
-from rising, and one-atom sections reduce section states to ladder states."""
+"""Properties over random small lines, spheres and clouds (N <= 40, both kernels):
+the solvers agree with the expm oracle, the Krylov route keeps total excitation
+from rising, relabelling the atoms leaves the run's relabelling-free columns
+unchanged, the TD transform is unitary, and one-atom sections reduce section
+states to ladder states."""
 
 from dataclasses import replace
 
@@ -9,9 +11,12 @@ import pytest
 pytest.importorskip("hypothesis")
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from tdsim import (build_generator, build_line, build_sphere_lattice, eigen_solve,
-                   ladder_state, oracle_expm, plus_state, rk4_propagate, section_state)
+from tdsim import (Ensemble, build_generator, build_line, build_sphere_lattice,
+                   build_transform, eigen_solve, ladder_state, oracle_expm,
+                   partition_sections, plus_state, propagate, rk4_propagate, section_state,
+                   state_population, total_excitation)
 from tdsim.dynamics import krylov_propagate, step_indices
 
 
@@ -58,3 +63,38 @@ def test_one_atom_sections_give_the_ladder_states(ensemble):
     e = replace(ensemble, sections=np.arange(ensemble.n))
     for m in {2, 3, e.n} & set(range(2, e.n + 1)):
         assert np.array_equal(section_state(e, m).amplitudes, ladder_state(e, m).amplitudes)
+
+
+def run_columns(ensemble, kernel, t_max):
+    """``total``, ``pop_plus`` and ``pop_init`` of a two-section ``section:2`` run."""
+    e = partition_sections(ensemble, 2)
+    init = section_state(e, 2)
+    traj = propagate(build_generator(e, kernel), init, t_max=t_max)
+    pop_plus = np.abs(build_transform(e).apply(traj.amplitudes)[:, 0]) ** 2
+    return [total_excitation(traj).values, pop_plus, state_population(traj, init).values]
+
+
+@settings(max_examples=30, deadline=None)
+@given(ensemble=ensembles(0.05).filter(lambda e: e.n >= 2), kernel=KERNELS,
+       t_max=T_MAX, data=st.data())
+def test_relabelling_the_atoms_leaves_the_run_unchanged(ensemble, kernel, t_max, data):
+    # ladder populations are exempt: |m> lives on the first m atoms in list order
+    perm = np.array(data.draw(st.permutations(range(ensemble.n))))
+    shuffled = replace(ensemble, positions=ensemble.positions[perm],
+                       lattice=ensemble.lattice[perm])
+    for ref, got in zip(run_columns(ensemble, kernel, t_max),
+                        run_columns(shuffled, kernel, t_max)):
+        assert np.abs(got - ref).max() < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(positions=st.integers(1, 40).flatmap(
+           lambda n: arrays(float, (n, 3), elements=st.floats(-10.0, 10.0), unique=True)),
+       k0_vec=arrays(float, 3, elements=st.floats(-3.0, 3.0)).filter(
+           lambda k: np.linalg.norm(k) > 0.1))
+def test_the_td_transform_of_a_random_cloud_is_unitary(positions, k0_vec):
+    transform = build_transform(Ensemble(positions, k0_vec))
+    S = transform.S
+    eye = np.eye(transform.n)
+    assert np.abs(S @ S.conj().T - eye).max() < 1e-12
+    assert np.abs(transform.apply(eye) - S.T).max() < 1e-12
