@@ -95,6 +95,13 @@ class TDTransform:
         y[..., 0] = prefix[..., -1] / np.sqrt(self.n)
         return y
 
+    def leading(self, x, k: int) -> np.ndarray:
+        """``apply(x)[..., :k]`` (|+>, |2>, ..., |k>) in O(k + N) per row: |2>..|k> live on
+        the first k atoms, so they are ``apply``'s own numbers; |+> is one product."""
+        y = TDTransform(self.phases[:k]).apply(x[..., :k])
+        y[..., 0] = x @ np.conj(self.phases) / np.sqrt(self.n)
+        return y
+
 
 def timing_phases(ensemble: Ensemble) -> np.ndarray:
     """Per-atom phases e^{i k0.r_j}."""

@@ -15,6 +15,7 @@ reproduces the run bit for bit.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections.abc import Iterator
@@ -29,7 +30,7 @@ from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state
 from .dynamics import SOLVERS, Trajectory, propagate, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import KERNELS, build_generator, real_symmetric
-from .observables import ObservableSeries, populations, state_population, total_excitation
+from .observables import populations, state_population, total_excitation
 
 __all__ = [
     "RunConfig",
@@ -304,10 +305,12 @@ def parse_config(args=None, file=None) -> list[tuple[str, RunConfig]]:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run; ``td_trajectory`` holds the TD amplitudes up to the largest tracked index."""
+
     config: RunConfig  # fully resolved (solver concrete)
     ensemble: Ensemble
     trajectory: Trajectory  # fock basis
-    td_trajectory: Trajectory | None
+    td_trajectory: Trajectory | None  # None when nothing is tracked
     columns: list
 
 
@@ -366,15 +369,12 @@ def simulate(config: RunConfig | tuple, generator=None) -> RunResult:
     if generator is None:
         generator = build_generator(ensemble, config.kernel, config.gamma)
     traj = propagate(generator, init, config.dt, config.t_max, config.stride, config.solver)
-    td_traj = None
-    columns: list[tuple[str, ObservableSeries]] = []
+    td_traj, columns = None, []
     if tracked:
-        td_traj = replace(traj, amplitudes=build_transform(ensemble).apply(traj.amplitudes),
-                          basis=TD)
-        pops = populations(td_traj, tracked)
-        for idx in tracked:
-            name = "pop_plus" if idx == 1 else f"pop_{idx}"
-            columns.append((name, pops[idx]))
+        td = build_transform(ensemble).leading(traj.amplitudes, max(tracked))
+        td_traj = replace(traj, amplitudes=td, basis=TD)
+        columns = [("pop_plus" if idx == 1 else f"pop_{idx}", series)
+                   for idx, series in populations(td_traj, tracked).items()]
     if config.init.startswith("section:"):
         columns.append(("pop_init", state_population(traj, init)))
     columns.append(("total", total_excitation(traj)))
@@ -426,13 +426,10 @@ def _echo_items(config: RunConfig, keys=None) -> list[tuple[str, str]]:
 
 def render_csv(result: RunResult) -> str:
     lines = [f"# {k} = {v}" for k, v in _echo_items(result.config)]
-    names = [name for name, _ in result.columns]
-    lines.append(",".join(["t"] + names))
-    times = result.trajectory.times
-    values = [series.values for _, series in result.columns]
-    for i in range(times.size):
-        row = [_fmt(times[i])] + [_fmt(v[i]) for v in values]
-        lines.append(",".join(row))
+    lines.append(",".join(["t"] + [name for name, _ in result.columns]))
+    # one float64 table; repr of its Python floats is _fmt of each value
+    table = np.column_stack([result.trajectory.times] + [s.values for _, s in result.columns])
+    lines += [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -493,6 +490,7 @@ def _add_shared_flags(sub: argparse.ArgumentParser):
         sub.add_argument(flag, dest=key, help=f"override {key}")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdsim",

@@ -22,11 +22,11 @@ paths, picked by the ensemble:
 * lattice (the ensemble carries ``lattice`` and ``spacing``, as every line
   and sphere builder output does): the kernel is evaluated once per lattice
   distance, at k0 * spacing * |offset| with |offset|^2 an integer, and M is
-  gathered from that table one row block at a time.  A line is keyed by
-  |i - j| (a Toeplitz matrix), any other lattice by the squared offset.  No
-  K is built; the peak is M plus one block's integer keys.  The exp table is
-  built from the sine table's own ``sin`` values, so the real part of the
-  exp generator equals the sine generator bit for bit.
+  gathered from that table (checked finite in M's place) one row block at a
+  time.  A line is keyed by |i - j| (a Toeplitz matrix), any other lattice
+  by the squared offset.  No K is built; the peak is M plus one block's
+  integer keys.  The exp table is built from the sine table's own ``sin``
+  values, so the real part of the exp generator is the sine one bit for bit.
 * ``K`` (any other cloud, or a lattice so sparse that its table would
   hold more than N^2 entries, the size of the pair matrix it replaces): the
   kernel on the whole pair matrix, assembled in place, so the peak is K plus M.
@@ -34,7 +34,7 @@ paths, picked by the ensemble:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -64,12 +64,13 @@ class GeneratorMatrix:
 
     matrix: np.ndarray
     basis: str
+    _finite: InitVar[bool] = False  # already checked, as build_generator's matrices are
 
-    def __post_init__(self):
+    def __post_init__(self, _finite):
         M = np.asarray(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("generator matrix must be square")
-        if not np.all(np.isfinite(M)):
+        if not (_finite or np.all(np.isfinite(M))):
             raise ValueError("generator matrix must be finite")
         if self.basis not in (FOCK, TD):
             raise ValueError(f"unknown basis tag {self.basis!r}")
@@ -100,6 +101,8 @@ def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray
     if kernel == "exp":
         np.multiply(np.cos(x), gamma, out=table.imag[1:])
         table.imag[1:] /= x
+    if not np.all(np.isfinite(table)):  # M is finite exactly when its table is
+        raise ValueError("generator matrix must be finite")
 
     cols = [np.ascontiguousarray(lattice[:, a]) for a in axes]
     fold = np.abs if line else np.square
@@ -120,7 +123,7 @@ def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray
 
 
 def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
-    """Fock-basis kernel values, self terms set to -gamma."""
+    """Fock-basis kernel values, self terms set to -gamma, checked finite."""
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel tag {kernel!r}")
     if gamma <= 0:
@@ -140,12 +143,14 @@ def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
             M *= 1j * gamma
         M /= K
     np.fill_diagonal(M, -gamma)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("generator matrix must be finite")
     return M
 
 
 def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:
     """Fock generator of the ``sine`` or ``exp`` kernel."""
-    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK)
+    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK, _finite=True)
 
 
 def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> GeneratorMatrix:

@@ -10,11 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsim import Ensemble, TDTransform, build_generator, build_sphere_lattice
+from tdsim import Ensemble, TDTransform, build_generator, build_sphere_lattice, build_transform
 from tdsim.cli import (
     ConfigError,
     PRESETS,
     RunConfig,
+    _echo_items,
+    _fmt,
+    build_parser,
     main,
     parse_config,
     read_config_file,
@@ -316,6 +319,39 @@ class TestRunPipeline:
     def test_lattice_spectrum_builds_no_K(self, tmp_path, no_K):
         assert main(["spectrum", "--preset", "fig2", "--output", str(tmp_path / "s.csv")]) == 0
 
+    def test_a_few_tracked_states_keep_only_their_td_columns(self):
+        config = RunConfig(geometry="line", n=200, t_max=1.0, tracked="plus,2,3")
+        result = simulate(config)
+        td, traj = result.td_trajectory, result.trajectory
+        assert traj.amplitudes.shape == (101, 200)
+        assert td.amplitudes.shape == (101, 3)  # not (T, N)
+        full = build_transform(result.ensemble).apply(traj.amplitudes)
+        assert np.array_equal(td.amplitudes[:, 1:], full[:, 1:3])
+        assert np.abs(td.amplitudes[:, 0] - full[:, 0]).max() < 1e-14
+
+    def test_render_csv_matches_the_per_value_rendering(self):
+        def reference(result):  # one _fmt call per number, row by row
+            lines = [f"# {k} = {v}" for k, v in _echo_items(result.config)]
+            lines.append(",".join(["t"] + [name for name, _ in result.columns]))
+            times = result.trajectory.times
+            values = [series.values for _, series in result.columns]
+            for i in range(times.size):
+                lines.append(",".join([_fmt(times[i])] + [_fmt(v[i]) for v in values]))
+            return "\n".join(lines) + "\n"
+
+        config = RunConfig(geometry="sphere", radius=2.0, sections=2, init="section:2",
+                           kernel="exp", t_max=1.0, tracked="all")
+        result = simulate(config)
+        text = render_csv(result)
+        assert text == reference(result)
+        body = [line for line in text.splitlines() if not line.startswith("# ")]
+        assert body[0].split(",")[1:] == [name for name, _ in result.columns]
+        table = np.array([[float(x) for x in row.split(",")] for row in body[1:]])
+        expect = np.column_stack([result.trajectory.times]
+                                 + [series.values for _, series in result.columns])
+        assert table.shape == expect.shape and table.shape[1] == result.ensemble.n + 3
+        assert np.array_equal(table.view(np.uint64), expect.view(np.uint64))
+
     def test_render_includes_resolved_solver(self):
         [(_, config)] = parse_config(dict(QUICK))
         assert config.solver == "auto"
@@ -600,6 +636,24 @@ class TestMainEntry:
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout == "False\n"
+
+    def test_one_parser_serves_every_call_of_a_process(self, tmp_path):
+        assert build_parser() is build_parser()
+        calls = [["run", "--geometry", "line", "--n", "5", "--t-max", "0.5",
+                  "--tracked", "plus,3"],
+                 ["spectrum", "--geometry", "sphere", "--radius", "2.0", "--kernel", "exp"]]
+        (tmp_path / "fresh").mkdir()
+        (tmp_path / "same").mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        for i, argv in enumerate(calls):
+            out = ["--output", str(tmp_path / "fresh" / f"{i}.csv")]
+            subprocess.run([sys.executable, "-m", "tdsim.cli", *argv, *out], env=env,
+                           check=True, capture_output=True)
+        for i, argv in enumerate(calls):
+            assert main([*argv, "--output", str(tmp_path / "same" / f"{i}.csv")]) == 0
+        for i in range(len(calls)):
+            same, fresh = (tmp_path / side / f"{i}.csv" for side in ("same", "fresh"))
+            assert same.read_bytes() == fresh.read_bytes()
 
     def test_preset_run_writes_named_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -227,6 +227,31 @@ class TestInPlaceAssembly:
                     build(e, "exp", gamma=-1.0)
 
 
+class TestFiniteness:
+    @pytest.mark.parametrize("gamma", [np.inf, np.nan])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_a_nonfinite_gamma_is_rejected(self, kernel, gamma, lattice):
+        e = build_line(5) if lattice else positions_only(build_line(5))
+        with pytest.raises(ValueError, match="generator matrix must be finite"):
+            build_generator(e, kernel, gamma)
+
+    @pytest.mark.parametrize("lattice", [True, False])
+    def test_only_the_K_path_scans_the_whole_matrix(self, monkeypatch, line300, lattice):
+        e = line300 if lattice else positions_only(line300)
+        scanned, isfinite = [], np.isfinite
+
+        def spy(x, *args, **kwargs):
+            scanned.append(np.size(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        build_generator(e, "exp")
+        # the lattice path scans its table (N entries on a line) and never M; K scans M once
+        assert scanned.count(e.n ** 2) == (not lattice)
+        assert max(scanned) == (e.n if lattice else e.n ** 2)
+
+
 def lattice_reference(e, kernel, gamma):
     """The whole-array kernel expression on the exact integer lattice distances."""
     d2 = sum(np.subtract.outer(col, col) ** 2 for col in e.lattice.T)

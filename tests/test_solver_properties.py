@@ -1,8 +1,9 @@
 """Properties over random small lines, spheres and clouds (N <= 40, both kernels):
 the solvers agree with the expm oracle, the Krylov route keeps total excitation
 from rising, relabelling the atoms leaves the run's relabelling-free columns
-unchanged, the TD transform is unitary, and one-atom sections reduce section
-states to ladder states."""
+unchanged, the TD transform is unitary and its first-k projection is the first k
+columns of the whole one, and one-atom sections reduce section states to ladder
+states."""
 
 from dataclasses import replace
 
@@ -87,14 +88,34 @@ def test_relabelling_the_atoms_leaves_the_run_unchanged(ensemble, kernel, t_max,
         assert np.abs(got - ref).max() < 1e-10
 
 
+CLOUDS = st.integers(1, 40).flatmap(
+    lambda n: arrays(float, (n, 3), elements=st.floats(-10.0, 10.0), unique=True))
+K0_VECS = arrays(float, 3, elements=st.floats(-3.0, 3.0)).filter(
+    lambda k: np.linalg.norm(k) > 0.1)
+
+
 @settings(max_examples=30, deadline=None)
-@given(positions=st.integers(1, 40).flatmap(
-           lambda n: arrays(float, (n, 3), elements=st.floats(-10.0, 10.0), unique=True)),
-       k0_vec=arrays(float, 3, elements=st.floats(-3.0, 3.0)).filter(
-           lambda k: np.linalg.norm(k) > 0.1))
+@given(positions=CLOUDS, k0_vec=K0_VECS)
 def test_the_td_transform_of_a_random_cloud_is_unitary(positions, k0_vec):
     transform = build_transform(Ensemble(positions, k0_vec))
     S = transform.S
     eye = np.eye(transform.n)
     assert np.abs(S @ S.conj().T - eye).max() < 1e-12
     assert np.abs(transform.apply(eye) - S.T).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(positions=CLOUDS, k0_vec=K0_VECS, rows=st.integers(1, 5), data=st.data())
+def test_the_first_k_projection_is_the_first_k_columns_of_apply(positions, k0_vec, rows,
+                                                                data):
+    transform = build_transform(Ensemble(positions, k0_vec))
+    n = transform.n
+    k = data.draw(st.sampled_from([1, n]) | st.integers(1, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    block = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    for x in (block, block[0]):  # a T x N block and a single vector
+        ref, got = transform.apply(x)[..., :k], transform.leading(x, k)
+        assert got.shape == ref.shape
+        # |2>..|k> are apply's own numbers; |+> is a dot product instead of a prefix sum
+        assert np.array_equal(got[..., 1:], ref[..., 1:])
+        assert np.all(np.abs(got[..., 0] - ref[..., 0]) <= 1e-14 * np.linalg.norm(x, axis=-1))
