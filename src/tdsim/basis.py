@@ -130,17 +130,24 @@ def plus_state(ensemble: Ensemble) -> AmplitudeState:
     return AmplitudeState(amp, FOCK)
 
 
+def _ladder_pattern(ensemble: Ensemble, group: np.ndarray, m: int) -> AmplitudeState:
+    """[sum_{g<m} |+>_g - (m-1)|+>_m] / sqrt(m(m-1)), |+>_g timed-symmetric over the atoms
+    whose ``group`` label is g - 1; atoms of later groups stay exactly zero."""
+    amp = np.zeros(ensemble.n, dtype=complex)
+    atoms = np.flatnonzero(group < m)
+    label = group[atoms]
+    weight = np.where(label == m - 1, 1.0 - m, 1.0)
+    size = np.bincount(label)[label]
+    amp[atoms] = timing_phases(ensemble)[atoms] / np.sqrt(size) * weight / np.sqrt(m * (m - 1))
+    return AmplitudeState(amp, FOCK)
+
+
 def ladder_state(ensemble: Ensemble, m: int) -> AmplitudeState:
-    """Antisymmetric timed state |m> on the first m atoms, m in 2..N."""
+    """Antisymmetric timed state |m> on the first m atoms (one-atom groups), m in 2..N."""
     n = ensemble.n
     if int(m) != m or not 2 <= m <= n:
         raise ValueError(f"ladder index must be in 2..{n}, got {m!r}")
-    amp = np.zeros(n, dtype=complex)
-    norm = np.sqrt(m * (m - 1))
-    phases = timing_phases(ensemble)
-    amp[: m - 1] = phases[: m - 1] / norm
-    amp[m - 1] = -(m - 1) * phases[m - 1] / norm
-    return AmplitudeState(amp, FOCK)
+    return _ladder_pattern(ensemble, np.arange(n), m)
 
 
 def section_state(ensemble: Ensemble, m: int) -> AmplitudeState:
@@ -148,8 +155,8 @@ def section_state(ensemble: Ensemble, m: int) -> AmplitudeState:
 
     With |+>_s the timed-symmetric state over section s, returns
     [sum_{s<m} |+>_s - (m-1)|+>_m] / sqrt(m(m-1)).  For two sections this
-    is (|+>_1 - |+>_2)/sqrt(2).  Sections of one atom each reduce exactly
-    to :func:`ladder_state`.
+    is (|+>_1 - |+>_2)/sqrt(2).  Sections of one atom each give
+    :func:`ladder_state` bit for bit: both are the same pattern.
     """
     if ensemble.sections is None:
         raise ValueError("section_state requires an ensemble with sections; "
@@ -157,14 +164,7 @@ def section_state(ensemble: Ensemble, m: int) -> AmplitudeState:
     m0 = ensemble.n_sections
     if int(m) != m or not 2 <= m <= m0:
         raise ValueError(f"section state index must be in 2..{m0}, got {m!r}")
-    amp = np.zeros(ensemble.n, dtype=complex)
-    phases = timing_phases(ensemble)
-    norm = np.sqrt(m * (m - 1))
-    for s in range(m):
-        members = ensemble.section_indices(s)
-        block = phases[members] / np.sqrt(members.size)
-        amp[members] = block * (-(m - 1) if s == m - 1 else 1.0) / norm
-    return AmplitudeState(amp, FOCK)
+    return _ladder_pattern(ensemble, ensemble.sections, m)
 
 
 def build_transform(ensemble: Ensemble) -> TDTransform:

@@ -124,12 +124,6 @@ class Ensemble:
             raise ValueError("ensemble has no section assignment")
         return int(self.sections.max()) + 1
 
-    def section_indices(self, s: int) -> np.ndarray:
-        """Atom indices belonging to section ``s`` (construction order)."""
-        if self.sections is None:
-            raise ValueError("ensemble has no section assignment")
-        return np.nonzero(self.sections == s)[0]
-
 
 def build_line(n: int, spacing: float = 1.0, k0_vec=(1.0, 0.0, 0.0)) -> Ensemble:
     """Line lattice along x: atoms at j*spacing*x_hat for j = 0..n-1."""

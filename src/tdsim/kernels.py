@@ -8,9 +8,10 @@ Two couplings are supported for beta_dot = M beta in the Fock basis:
 
 Both self terms are regularized to M_jj = -gamma: the sine limit is exact,
 while the exponential kernel's divergent imaginary self term is the
-single-atom Lamb shift, absorbed into the transition frequency.  The
-Hermitian part of the exponential generator therefore equals the sine
-generator entry for entry: Re[i e^{iK}/K] = -sin(K)/K.
+single-atom Lamb shift, absorbed into the transition frequency.  Both
+assembly paths write the kernel with one function, -gamma sin(x)/x plus
+i gamma cos(x)/x for exp, so the real (= Hermitian) part of every exp
+generator is the sine generator bit for bit.
 
 No 1/N prefactor is applied here; the 1/N seen in the TD-basis equations
 of motion comes out of the 1/sqrt(N) state normalizations.
@@ -25,8 +26,7 @@ paths, picked by the ensemble:
   gathered from that table (checked finite in M's place) one row block at a
   time.  A line is keyed by |i - j| (a Toeplitz matrix), any other lattice
   by the squared offset.  No K is built; the peak is M plus one block's
-  integer keys.  The exp table is built from the sine table's own ``sin``
-  values, so the real part of the exp generator is the sine one bit for bit.
+  integer keys.
 * ``K`` (any other cloud, or a lattice so sparse that its table would
   hold more than N^2 entries, the size of the pair matrix it replaces): the
   kernel on the whole pair matrix, assembled in place, so the peak is K plus M.
@@ -81,6 +81,19 @@ class GeneratorMatrix:
         return self.matrix.shape[0]
 
 
+def _fill_kernel(out: np.ndarray, x: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
+    """``out`` = -gamma sin(x)/x (+ i gamma cos(x)/x for exp) in place; not finite at x = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        re = np.sin(x, out=out.real)
+        re *= -gamma
+        re /= x
+        if kernel == "exp":
+            im = np.cos(x, out=out.imag)
+            im *= gamma
+            im /= x
+    return out
+
+
 def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray | None:
     """Kernel values gathered from a table over the lattice distances; None if it is too big."""
     n, lattice = ensemble.n, ensemble.lattice
@@ -96,11 +109,7 @@ def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray
     x = np.multiply(dist, ensemble.k0 * ensemble.spacing, out=dist)
     table = np.empty(size, dtype=float if kernel == "sine" else complex)
     table[0] = -gamma
-    np.multiply(np.sin(x), -gamma, out=table.real[1:])
-    table.real[1:] /= x
-    if kernel == "exp":
-        np.multiply(np.cos(x), gamma, out=table.imag[1:])
-        table.imag[1:] /= x
+    _fill_kernel(table[1:], x, kernel, gamma)
     if not np.all(np.isfinite(table)):  # M is finite exactly when its table is
         raise ValueError("generator matrix must be finite")
 
@@ -133,15 +142,8 @@ def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
         if M is not None:
             return M
     K = ensemble.K
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kernel == "sine":
-            M = np.sin(K)
-            M *= -gamma
-        else:
-            M = np.multiply(K, 1j)
-            np.exp(M, out=M)
-            M *= 1j * gamma
-        M /= K
+    M = _fill_kernel(np.empty(K.shape, dtype=float if kernel == "sine" else complex), K,
+                     kernel, gamma)
     np.fill_diagonal(M, -gamma)
     if not np.all(np.isfinite(M)):
         raise ValueError("generator matrix must be finite")

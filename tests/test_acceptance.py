@@ -19,6 +19,7 @@ import pytest
 
 from tdsim import (
     AmplitudeState,
+    Ensemble,
     assemble_td_direct,
     build_line,
     build_generator,
@@ -37,6 +38,9 @@ from tdsim import (
     transform_generator,
 )
 from tdsim.cli import parse_config, render_csv, resolve_configs, simulate, simulate_runs
+from tdsim.dynamics import KRYLOV_TOL
+
+from preset_reference import TIMES, kernel_variants, read_reference
 
 GAMMA = 1.0
 
@@ -70,6 +74,12 @@ def fig4_results():
     runs = resolve_configs("fig4")  # the grouped path of `tdsim run --preset fig4`
     results = simulate_runs(config for _, config in runs)
     return {suffix: result for (suffix, _), result in zip(runs, results)}
+
+
+@pytest.fixture(scope="module")
+def variant_results():
+    """fig1a, fig1b, fig2 and fig3 under both kernels, keyed ``(preset, kernel)``."""
+    return {key: simulate(config) for key, config in kernel_variants()}
 
 
 def geometry(n):
@@ -110,15 +120,19 @@ def test_criterion_01_operator_matches_dense_oracle():
 
 
 def test_criterion_02_kernel_hermitian_identity():
+    # the lattices and a cloud given by positions alone, whose generators are built from K
+    cloud = Ensemble(positions=np.random.default_rng(7).uniform(-5.0, 5.0, size=(200, 3)),
+                     k0_vec=np.array([1.0, 0.0, 0.0]))
     worst = 0.0
-    for n in (2, 10, 121, 1000):
-        e = geometry(n)
+    for e in [geometry(n) for n in (2, 10, 121, 1000)] + [cloud]:
         M_exp = build_generator(e, "exp", GAMMA).matrix
         M_sin = build_generator(e, "sine", GAMMA).matrix
         dev = np.abs(0.5 * (M_exp + M_exp.conj().T) - M_sin).max()
         worst = max(worst, dev)
-        assert dev < 1e-12, f"N={n}: Hermitian-part deviation {dev:.3e}"
-    report(2, f"Re[i e^(iK)/K] = -sin(K)/K entrywise, worst {worst:.3e}")
+        assert dev < 1e-12, f"N={e.n}: Hermitian-part deviation {dev:.3e}"
+        assert np.array_equal(np.ascontiguousarray(M_exp.real).view(np.uint64),
+                              M_sin.view(np.uint64)), f"N={e.n}: Re M_exp is not M_sine"
+    report(2, f"Re[i e^(iK)/K] = -sin(K)/K bit for bit, Hermitian part within {worst:.3e}")
 
 
 def test_criterion_03_td_assembly_consistency():
@@ -176,15 +190,12 @@ def test_criterion_05_single_atom_limit():
               f"max deviation {max(dev, dev_rk4):.3e}")
 
 
-def test_criterion_06_total_excitation_monotone(fig4_results):
+def test_criterion_06_total_excitation_monotone(variant_results, fig4_results):
     worst = -np.inf
-    for preset in ("fig1a", "fig1b", "fig2", "fig3"):
-        for kernel in ("sine", "exp"):
-            [(_, config)] = parse_config({"preset": preset, "kernel": kernel})
-            result = simulate(config)
-            total = dict(result.columns)["total"].values
-            worst = max(worst, np.diff(total).max())
-            assert np.diff(total).max() <= 1e-10, f"{preset}/{kernel}"
+    for (preset, kernel), result in variant_results.items():
+        total = dict(result.columns)["total"].values
+        worst = max(worst, np.diff(total).max())
+        assert np.diff(total).max() <= 1e-10, f"{preset}/{kernel}"
     for suffix, result in fig4_results.items():
         total = dict(result.columns)["total"].values
         worst = max(worst, np.diff(total).max())
@@ -298,3 +309,27 @@ def test_criterion_11_across_processes_and_blas_thread_counts(tmp_path):
         worst = max(worst, np.abs(rows_1 - rows_2).max())
     assert worst <= 1e-12
     report(11, f"byte-identical at 2 BLAS threads; 1 vs 2 threads differ by {worst:.1e}")
+
+
+def test_criterion_12_presets_match_the_oracle_reference(variant_results, fig4_results):
+    # each amplitude is within KRYLOV_TOL |beta(0)| of exact, so each population of a
+    # normalised start is within 2 KRYLOV_TOL + KRYLOV_TOL^2
+    bound = 2 * KRYLOV_TOL + KRYLOV_TOL**2
+    reference = read_reference()
+    results = {f"{preset}_{kernel}": result
+               for (preset, kernel), result in variant_results.items()}
+    results.update({f"fig4_{suffix}": result for suffix, result in fig4_results.items()})
+    assert sorted(results) == sorted(reference)
+    worst = 0.0
+    for label, result in results.items():
+        times = result.trajectory.times
+        rows = np.abs(times[:, None] - np.array(TIMES)).argmin(axis=0)
+        assert np.abs(times[rows] - TIMES).max() < 1e-9, f"{label}: no row at t = 0..10"
+        columns = dict(result.columns)
+        assert list(columns) == list(reference[label]), f"{label}: columns differ"
+        for name, ref in reference[label].items():
+            dev = np.abs(columns[name].values[rows] - ref).max()
+            worst = max(worst, dev)
+            assert dev <= bound, f"{label} {name}: {dev:.3e} off the oracle"
+    report(12, f"{len(results)} preset runs match the oracle at t = 0..10 within "
+               f"{worst:.3e} (bound {bound:.1e})")

@@ -18,7 +18,7 @@ from tdsim.kernels import BLOCK_KEYS, KERNELS
 # the whole-array expressions of the kernels, diagonal set afterwards
 REFERENCE = {
     "sine": lambda K, gamma: -gamma * np.sin(K) / K,
-    "exp": lambda K, gamma: 1j * gamma * np.exp(1j * K) / K,
+    "exp": lambda K, gamma: -gamma * np.sin(K) / K + 1j * (gamma * np.cos(K) / K),
 }
 # the sine generator is real symmetric and stored as float64
 DTYPES = {"sine": np.float64, "exp": np.complex128}
@@ -57,6 +57,19 @@ def plane():
 def positions_only(e):
     """The same points without their lattice, so the generator is built from K."""
     return Ensemble(positions=e.positions, k0_vec=e.k0_vec)
+
+
+@pytest.fixture(scope="module")
+def positions_only_fig2(fig2_sphere):
+    return positions_only(fig2_sphere)
+
+
+@pytest.fixture(scope="module")
+def sparse_lattice():
+    # squared offsets up to about 2 * 10^6: a table far past N^2 = 9 entries, so the K path
+    lattice = np.array([[0, 0, 0], [1000, 1000, 0], [-3, 7, 1]])
+    return Ensemble(positions=0.01 * lattice, k0_vec=np.array([1.0, 0.0, 0.0]),
+                    lattice=lattice, spacing=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +148,8 @@ class TestKernelIdentities:
         assert np.abs(herm - M_sin).max() < 1e-12
 
     @pytest.mark.parametrize("gamma", [1.0, 0.7])
-    @pytest.mark.parametrize("name", ["fig2_sphere", "fig4_sphere", "line300"])
+    @pytest.mark.parametrize("name", ["fig2_sphere", "fig4_sphere", "line300", "random_cloud",
+                                      "positions_only_fig2", "sparse_lattice"])
     def test_lattice_exp_real_part_is_the_sine_generator_bitwise(self, name, gamma, request):
         e = request.getfixturevalue(name)
         M_exp = build_generator(e, "exp", gamma).matrix
