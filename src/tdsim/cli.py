@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
-from .dynamics import SOLVERS, Trajectory, propagate, step_indices
+from .dynamics import SOLVERS, Trajectory, propagate_factored, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import KERNELS, build_generator, real_symmetric
-from .observables import populations, state_population, total_excitation
+from .observables import ObservableSeries, populations
 
 __all__ = [
     "RunConfig",
@@ -305,11 +305,12 @@ def parse_config(args=None, file=None) -> list[tuple[str, RunConfig]]:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run; ``td_trajectory`` holds the TD amplitudes up to the largest tracked index."""
+    """One run; ``td_trajectory`` holds the TD amplitudes up to the largest tracked index
+    (no Fock trajectory is kept: the columns are reduced from the run's blocks)."""
 
     config: RunConfig  # fully resolved (solver concrete)
     ensemble: Ensemble
-    trajectory: Trajectory  # fock basis
+    times: np.ndarray
     td_trajectory: Trajectory | None  # None when nothing is tracked
     columns: list
 
@@ -368,18 +369,22 @@ def simulate(config: RunConfig | tuple, generator=None) -> RunResult:
     config, ensemble, tracked, init = config if isinstance(config, tuple) else _prepare(config)
     if generator is None:
         generator = build_generator(ensemble, config.kernel, config.gamma)
-    traj = propagate(generator, init, config.dt, config.t_max, config.stride, config.solver)
+    run = propagate_factored(generator, init, config.dt, config.t_max, config.stride,
+                             config.solver)  # reduced block by block: no T x N trajectory
     td_traj, columns = None, []
     if tracked:
-        td = build_transform(ensemble).leading(traj.amplitudes, max(tracked))
-        td_traj = replace(traj, amplitudes=td, basis=TD)
+        transform, k = build_transform(ensemble), max(tracked)
+        td = run.map_states(lambda x: transform.leading(x, k))
+        td_traj = Trajectory(run.times, td, TD, run.solver)
         columns = [("pop_plus" if idx == 1 else f"pop_{idx}", series)
                    for idx, series in populations(td_traj, tracked).items()]
     if config.init.startswith("section:"):
-        columns.append(("pop_init", state_population(traj, init)))
-    columns.append(("total", total_excitation(traj)))
-    return RunResult(config=replace(config, solver=traj.solver), ensemble=ensemble,
-                     trajectory=traj, td_trajectory=td_traj, columns=columns)
+        ref = np.conj(init.amplitudes)
+        overlap = run.map_states(lambda x: x @ ref)
+        columns.append(("pop_init", ObservableSeries(run.times, np.abs(overlap) ** 2)))
+    columns.append(("total", ObservableSeries(run.times, run.norms_squared())))
+    return RunResult(config=replace(config, solver=run.solver), ensemble=ensemble,
+                     times=run.times, td_trajectory=td_traj, columns=columns)
 
 
 def simulate_runs(configs) -> Iterator[RunResult]:
@@ -428,7 +433,7 @@ def render_csv(result: RunResult) -> str:
     lines = [f"# {k} = {v}" for k, v in _echo_items(result.config)]
     lines.append(",".join(["t"] + [name for name, _ in result.columns]))
     # one float64 table; repr of its Python floats is _fmt of each value
-    table = np.column_stack([result.trajectory.times] + [s.values for _, s in result.columns])
+    table = np.column_stack([result.times] + [s.values for _, s in result.columns])
     lines += [",".join(map(repr, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
 

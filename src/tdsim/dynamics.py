@@ -6,8 +6,15 @@
 Krylov above) and passes the time grid to one of two routes, each held to
 ``KRYLOV_TOL`` or raising:
 
-* :func:`eigen_solve`      -- spectral solution sum_i c_i V_i e^{l_i t} (eigh if real symmetric);
-* :func:`krylov_propagate` -- Arnoldi bases checked by Saad's error estimate.
+* :func:`eigen_solve`      -- spectral solution sum_i c_i V_i e^{l_i t} (eigh if real
+  symmetric); an ill-conditioned or defective eigenbasis raises;
+* :func:`krylov_propagate` -- Arnoldi bases checked by Saad's error estimate, each stepping
+  its rows y (beta = y V, m values) by one small e^{dt H_m} per step length: no
+  eigenproblem, so a defective generator propagates too.
+
+:func:`propagate_factored` is the same run as a :class:`FactoredTrajectory`, blocks (Y, V)
+that a caller reduces through each Krylov basis V without forming the T x N trajectory
+that :func:`propagate` builds.
 
 Two references only cross-check them, and no run goes through either:
 
@@ -27,8 +34,10 @@ from .kernels import GeneratorMatrix, real_symmetric
 
 __all__ = [
     "Trajectory",
+    "FactoredTrajectory",
     "EigenSolution",
     "propagate",
+    "propagate_factored",
     "DegenerateSpectrumError",
     "rk4_propagate",
     "krylov_propagate",
@@ -40,7 +49,7 @@ __all__ = [
 
 SOLVERS = ("auto", "eigen", "krylov")
 # bound on each Krylov row's error estimate, relative to |beta(0)|, and on cond(V) eps
-# for every eigenvector basis a state is rebuilt from (eig's and Krylov's alike)
+# for the eigenvector basis ``eig`` rebuilds a state from
 KRYLOV_TOL = 1e-10
 KRYLOV_MAX_DIM = 160  # Arnoldi vectors in one basis; past it the basis restarts
 # (solver "auto" takes eigen up to this N, where one basis could hold the whole space)
@@ -49,7 +58,8 @@ MAX_TIME_ROWS = 10**7  # kept rows of one time grid, counted before it is built
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """Raised when the eigenbasis is too ill-conditioned to solve with."""
+    """Raised when the eigenbasis is too ill-conditioned to solve with (or, in principle, when
+    a Krylov step halves to nothing without meeting its error bound)."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,35 @@ class Trajectory:
 
     def state(self, i: int) -> AmplitudeState:
         return AmplitudeState(self.amplitudes[i], self.basis)
+
+
+@dataclass(frozen=True)
+class FactoredTrajectory:
+    """A trajectory as blocks ``(Y, V)`` of consecutive grid rows, in order: a block's states
+    are ``Y @ V``, its T_b x m rows in a Krylov basis V (m x N), or ``Y`` itself where V is
+    None.  Reductions read the blocks; :meth:`built` forms the T x N trajectory."""
+
+    times: np.ndarray
+    blocks: tuple
+    basis: str
+    solver: str
+
+    def built(self) -> Trajectory:
+        return Trajectory(self.times, self.map_states(lambda x: x), self.basis, self.solver)
+
+    def map_states(self, linear) -> np.ndarray:
+        """``linear`` (a map acting row by row) of every state; on a Krylov block it acts
+        on the basis, Y @ linear(V), so no block's T_b x N states are formed."""
+        return np.concatenate([linear(Y) if V is None else Y @ linear(V)
+                               for Y, V in self.blocks])
+
+    def norms_squared(self) -> np.ndarray:
+        """|beta(t)|^2 of every row; on a Krylov block y (V V^H) y^*, which stays exact
+        however far V drifts from orthonormal."""
+        return np.concatenate([
+            np.sum(np.abs(Y) ** 2, axis=1) if V is None
+            else np.einsum("ij,ij->i", Y @ (V @ V.conj().T), Y.conj()).real
+            for Y, V in self.blocks])
 
 
 @dataclass(frozen=True)
@@ -155,13 +194,23 @@ def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
               stride: int = 1, solver: str = "auto") -> Trajectory:
     """beta(t) every ``stride`` steps of ``dt`` up to ``t_max`` by ``solver``
     (one of ``SOLVERS``); the trajectory's ``solver`` names the method."""
+    return propagate_factored(generator, state0, dt, t_max, stride, solver).built()
+
+
+def propagate_factored(generator, state0, dt: float = 0.01, t_max: float = 10.0,
+                       stride: int = 1, solver: str = "auto") -> FactoredTrajectory:
+    """:func:`propagate`'s run, unbuilt: the eigen route's trajectory is one block, and each
+    Krylov basis (after the row of beta(0)) another."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {list(SOLVERS)}, got {solver!r}")
     if solver == "auto":
         n = np.shape(getattr(generator, "matrix", generator))[0]
         solver = "eigen" if n <= KRYLOV_MAX_DIM else "krylov"
-    solve = eigen_solve if solver == "eigen" else krylov_propagate
-    return solve(generator, state0, step_indices(dt, t_max, stride) * dt)
+    times = step_indices(dt, t_max, stride) * dt
+    if solver == "krylov":
+        return _krylov(generator, state0, times)
+    traj = eigen_solve(generator, state0, times)
+    return FactoredTrajectory(traj.times, ((traj.amplitudes, None),), traj.basis, traj.solver)
 
 
 def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
@@ -183,23 +232,26 @@ def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
 
 
 def krylov_propagate(generator, state0, times) -> Trajectory:
-    """beta(t) = e^{Mt} beta(0) on a time grid from Arnoldi bases (two Gram-Schmidt
-    passes) of at most ``KRYLOV_MAX_DIM`` vectors.  A basis of beta(t0) serves the times
-    after t0 (halvings of the first interval, then the grid) up to the first whose a
-    posteriori error estimate (Saad 1992) exceeds ``KRYLOV_TOL`` |beta(0)|; it writes
-    the grid rows among them and the next basis restarts from the last (as in Expokit)."""
+    """beta(t) = e^{Mt} beta(0) on a time grid, built from :func:`_krylov`'s blocks."""
+    return _krylov(generator, state0, times).built()
+
+
+def _krylov(generator, state0, times) -> FactoredTrajectory:
+    """Arnoldi bases (two Gram-Schmidt passes) of at most ``KRYLOV_MAX_DIM`` vectors.  A basis
+    V of beta(t0) grows until every later row passes Saad's (1992) a posteriori estimate,
+    h_{m+1,m} |e_m^T y_k| <= ``KRYLOV_TOL`` |beta(0)|, or it reaches the cap; its rows y_k
+    (beta = y_k V) come from :func:`_stepped_rows`.  It keeps the rows before the first that
+    fails and the next basis restarts from the last (as in Expokit); a capped basis that
+    passes no row halves its first step until one passes."""
     matrix, beta, basis = _resolve(generator, state0)
     t = _time_grid(times)
-    out = np.empty((t.size, beta.size), dtype=complex)
-    out[0] = beta
     tol = KRYLOV_TOL * np.linalg.norm(beta)
     dim = min(KRYLOV_MAX_DIM, beta.size)
     V = np.empty((dim + 1, beta.size), dtype=complex)  # rows: the orthonormal basis
     H = np.empty((dim + 1, dim), dtype=complex)
-    halvings = 0.5 ** np.arange(52, 0, -1)  # internal times, in units of the first interval
-    row, t0 = 1, 0.0
-    while row < t.size:
-        taus = np.append(halvings * (t[row] - t0), t[row:] - t0)
+    blocks, row, t0 = [(beta[None], None)], 1, 0.0
+    while row < t.size:  # a grid time, and so a difference of two, is rounded to eps |t|
+        steps = _uniform_runs(t[row:], t0, 4 * np.finfo(float).eps * t[-1])
         scale = np.linalg.norm(beta) or 1.0  # a zero state spans a zero basis
         V[0], H[:] = beta / scale, 0
         for m in range(1, dim + 1):
@@ -210,25 +262,90 @@ def krylov_propagate(generator, state0, times) -> Trajectory:
                 H[:m, m - 1] += h
             H[m, m - 1] = residual = np.linalg.norm(w)
             if m % _KRYLOV_CHECK == 0 or m == dim or residual == 0:
-                mu, W = np.linalg.eig(H[:m, :m])
-                c = np.linalg.solve(W, scale * np.eye(m, 1)[:, 0])
-                E = c[:, None] * np.exp(np.outer(mu, taus))  # e^{H tau_i} scale e_1 = W E[:, i]
-                ok = residual * np.abs(W[-1] @ E) <= tol
-                if ok.all() or m == dim:
+                Y = _stepped_rows(H[:m, :m], scale, steps, residual, tol)
+                if len(Y) == t.size - row or m == dim:
                     break
             V[m] = w / residual
-        kept = np.append(ok, False).argmin()  # the times before the first that fails
-        if not kept:
-            raise DegenerateSpectrumError(
-                f"no Krylov step from t = {t0!r} meets its error bound, KRYLOV_TOL = "
-                f"{KRYLOV_TOL:.0e} times |beta(0)|")
-        _check_conditioned(W)  # the rounding error of W E, which the estimate omits
-        B = W.T @ V[:m]  # the state at t0 + tau_i is E[:, i] @ B
-        rows = max(kept - halvings.size, 0)
-        np.matmul(E[:, kept - rows:kept].T, B, out=out[row:row + rows])
-        t0, beta = t0 + taus[kept - 1], E[:, kept - 1] @ B
-        row += rows
-    return Trajectory(times=t, amplitudes=out, basis=basis, solver="krylov")
+        step = t[row] - t0
+        while not len(Y):
+            step /= 2
+            if t0 + step == t0:
+                raise DegenerateSpectrumError(
+                    f"no Krylov step from t = {t0!r} meets its error bound, KRYLOV_TOL = "
+                    f"{KRYLOV_TOL:.0e} times |beta(0)|")
+            Y = _stepped_rows(H[:m, :m], scale, [(1, step)], residual, tol)
+        if not np.isfinite(Y).all():
+            raise ValueError("trajectory snapshots must be finite")
+        beta = Y[-1] @ V[:m]
+        if step < t[row] - t0:  # a halved step ends between grid rows
+            t0 += step
+            continue
+        # a block of fewer rows than basis vectors is kept as its states, so that no block
+        # holds more numbers than the rows it stands for
+        blocks.append((Y, V[:m].copy()) if len(Y) >= m else (Y @ V[:m], None))
+        row += len(Y)
+        t0 = t[row - 1]
+    return FactoredTrajectory(t, tuple(blocks), basis, "krylov")
+
+
+def _uniform_runs(t, t0, tol) -> list[tuple[int, float]]:
+    """The times ``t`` after ``t0`` as (rows, step) runs, each run from the last time of the
+    one before: row j of a run is within ``tol`` of its start + j step, so one e^{step H}
+    serves the run (a grid of one ``dt`` is one run, plus one for a short last step)."""
+    runs = []
+    while t.size:
+        p = t - t0
+        j = np.arange(1, p.size + 1)
+        # the rows on the first step, whose own rounding grows with j; then the step fitted
+        # to the last of them, and the rows within tol of its multiples
+        n = np.append(np.abs(p - j * p[0]) > (j + 1) * tol, True).argmax()
+        step = p[n - 1] / n
+        n = np.append(np.abs(p[:n] - j[:n] * step) > tol, True).argmax()
+        if n == 0:
+            n, step = 1, p[0]
+        runs.append((n, step))
+        t, t0 = t[n:], t[n - 1]
+    return runs
+
+
+def _stepped_rows(H, scale, steps, residual, tol) -> np.ndarray:
+    """Rows y_k = scale e^{tau_k H} e_1 at the times of ``steps`` ((rows, step) runs), up to
+    the first whose Saad estimate ``residual`` |y_{k,m}| exceeds ``tol``.  Each run takes one
+    :func:`_expm` and doubles its rows, [Y, Y F^k], in log2(rows) products."""
+    done = [np.eye(1, len(H)) * scale]
+    for n, step in steps:
+        F = _expm(step * H).T  # a row y steps to y F
+        block = done[-1][-1:]
+        while len(block) <= n:
+            new = (block @ F)[:n + 1 - len(block)]
+            fails = residual * np.abs(new[:, -1]) > tol
+            if fails.any():
+                return np.concatenate(done[1:] + [block[1:], new[:fails.argmax()]])
+            block = np.concatenate([block, new])
+            if len(block) <= n:
+                F = F @ F
+        done.append(block[1:])
+    return np.concatenate(done[1:])
+
+
+_TAYLOR = 1.0 / np.array([math.factorial(k) for k in range(19)])  # 1/k!, k = 0..18
+
+
+def _expm(A) -> np.ndarray:
+    """e^A of a small matrix by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+    2005): A / 2^s with ||A / 2^s||_1 <= 1, whose degree-18 Taylor polynomial is exact to
+    below eps (1/19! < 1e-17), summed by Paterson-Stockmeyer in 7 products, squared s times."""
+    norm = np.linalg.norm(A, 1)
+    s = math.ceil(math.log2(norm)) if norm > 1 else 0
+    powers = [np.eye(len(A)), A / 2.0**s]
+    for _ in range(3):
+        powers.append(powers[-1] @ powers[1])
+    E = sum(c * P for c, P in zip(_TAYLOR[16:], powers))
+    for i in (3, 2, 1, 0):
+        E = powers[4] @ E + sum(c * P for c, P in zip(_TAYLOR[4 * i:4 * i + 4], powers))
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def eigen_decompose(generator, state0) -> EigenSolution:

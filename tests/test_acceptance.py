@@ -322,7 +322,7 @@ def test_criterion_12_presets_match_the_oracle_reference(variant_results, fig4_r
     assert sorted(results) == sorted(reference)
     worst = 0.0
     for label, result in results.items():
-        times = result.trajectory.times
+        times = result.times
         rows = np.abs(times[:, None] - np.array(TIMES)).argmin(axis=0)
         assert np.abs(times[rows] - TIMES).max() < 1e-9, f"{label}: no row at t = 0..10"
         columns = dict(result.columns)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -10,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsim import Ensemble, TDTransform, build_generator, build_sphere_lattice, build_transform
+from tdsim import (Ensemble, TDTransform, build_generator, build_sphere_lattice, build_transform,
+                   plus_state, propagate)
 from tdsim.cli import (
     ConfigError,
     PRESETS,
@@ -267,7 +269,7 @@ class TestRunPipeline:
         _, header, rows = read_rows(run(config, tmp_path / "out.csv"))
         for j, (name, series) in enumerate(result.columns, start=1):
             assert rows[:, j].tolist() == series.values.tolist()
-        assert rows[:, 0].tolist() == result.trajectory.times.tolist()
+        assert rows[:, 0].tolist() == result.times.tolist()
 
     def test_krylov_and_eigen_solvers_agree_in_csv(self, tmp_path):
         base = dict(QUICK)
@@ -320,20 +322,34 @@ class TestRunPipeline:
         assert main(["spectrum", "--preset", "fig2", "--output", str(tmp_path / "s.csv")]) == 0
 
     def test_a_few_tracked_states_keep_only_their_td_columns(self):
+        def arrays_in(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif dataclasses.is_dataclass(value):
+                for field in dataclasses.fields(value):
+                    yield from arrays_in(getattr(value, field.name))
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from arrays_in(item)
+
         config = RunConfig(geometry="line", n=200, t_max=1.0, tracked="plus,2,3")
         result = simulate(config)
-        td, traj = result.td_trajectory, result.trajectory
-        assert traj.amplitudes.shape == (101, 200)
+        td = result.td_trajectory
         assert td.amplitudes.shape == (101, 3)  # not (T, N)
-        full = build_transform(result.ensemble).apply(traj.amplitudes)
-        assert np.array_equal(td.amplitudes[:, 1:], full[:, 1:3])
-        assert np.abs(td.amplitudes[:, 0] - full[:, 0]).max() < 1e-14
+        assert max(a.size for a in arrays_in(result)) < 101 * 200  # no T x N array is kept
+        e = result.ensemble
+        amplitudes = propagate(build_generator(e, "sine"), plus_state(e), 0.01, 1.0).amplitudes
+        transform = build_transform(e)
+        full, lead = transform.apply(amplitudes), transform.leading(amplitudes, 3)
+        assert np.array_equal(lead[:, 1:], full[:, 1:3])
+        assert np.abs(lead[:, 0] - full[:, 0]).max() < 1e-14
+        assert np.abs(td.amplitudes - full[:, :3]).max() < 1e-14
 
     def test_render_csv_matches_the_per_value_rendering(self):
         def reference(result):  # one _fmt call per number, row by row
             lines = [f"# {k} = {v}" for k, v in _echo_items(result.config)]
             lines.append(",".join(["t"] + [name for name, _ in result.columns]))
-            times = result.trajectory.times
+            times = result.times
             values = [series.values for _, series in result.columns]
             for i in range(times.size):
                 lines.append(",".join([_fmt(times[i])] + [_fmt(v[i]) for v in values]))
@@ -347,7 +363,7 @@ class TestRunPipeline:
         body = [line for line in text.splitlines() if not line.startswith("# ")]
         assert body[0].split(",")[1:] == [name for name, _ in result.columns]
         table = np.array([[float(x) for x in row.split(",")] for row in body[1:]])
-        expect = np.column_stack([result.trajectory.times]
+        expect = np.column_stack([result.times]
                                  + [series.values for _, series in result.columns])
         assert table.shape == expect.shape and table.shape[1] == result.ensemble.n + 3
         assert np.array_equal(table.view(np.uint64), expect.view(np.uint64))

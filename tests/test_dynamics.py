@@ -17,6 +17,7 @@ from tdsim import (
     to_td,
     transform_generator,
 )
+import tdsim.dynamics as dynamics
 from tdsim.basis import AmplitudeState
 from tdsim.dynamics import (
     KRYLOV_MAX_DIM,
@@ -140,17 +141,19 @@ class TestEigenSolve:
         with pytest.raises(DegenerateSpectrumError, match="KRYLOV_TOL = 1e-10"):
             eigen_solve(jordan, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
-    def test_one_conditioning_rule_for_eigen_and_krylov(self):
-        # eigenvalues -1 +- d, cond(V) ~ 1/d: the eig route was 5.3e-6 off at d = 3e-12
+    def test_the_conditioning_rule_binds_eigen_and_krylov_steps_past_it(self):
+        # eigenvalues -1 +- d, cond(V) ~ 1/d: the eig route was 5.3e-6 off at d = 3e-12;
+        # Krylov takes no eigenvectors, so it meets the oracle on both sides of the rule
         for d, ok in ((3e-12, False), (1e-4, True)):
             M, beta0 = np.array([[-1.0, 1.0], [d * d, -1.0]]), np.array([0.0, 1.0])
             ref = oracle_expm(M, beta0, 1.0).amplitudes
-            for solve in (eigen_solve, krylov_propagate):
-                if ok:
-                    assert np.abs(solve(M, beta0, [0.0, 1.0]).amplitudes[-1] - ref).max() < 1e-10
-                else:
-                    with pytest.raises(DegenerateSpectrumError, match="KRYLOV_TOL = 1e-10"):
-                        solve(M, beta0, [0.0, 1.0])
+            krylov = krylov_propagate(M, beta0, [0.0, 1.0]).amplitudes[-1]
+            assert np.abs(krylov - ref).max() < 1e-10
+            if ok:
+                assert np.abs(eigen_solve(M, beta0, [0.0, 1.0]).amplitudes[-1] - ref).max() < 1e-10
+            else:
+                with pytest.raises(DegenerateSpectrumError, match="KRYLOV_TOL = 1e-10"):
+                    eigen_solve(M, beta0, [0.0, 1.0])
 
     def test_times_must_start_at_zero(self):
         with pytest.raises(ValueError):
@@ -249,8 +252,6 @@ class TestKrylov:
         assert np.abs(traj.amplitudes[-1] - ref).max() < 1e-10
 
     def test_restarts_past_a_small_cap_match_eigen(self, monkeypatch):
-        import tdsim.dynamics as dynamics
-
         monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 8)
         e = build_sphere_lattice(3.0, 1.0, target_count=40)
         M, beta0 = build_generator(e, "exp"), plus_state(e)
@@ -265,6 +266,56 @@ class TestKrylov:
         krylov_propagate(counted, beta0, [0.0, 2.0])
         assert self.CountingMatrix.products > 8
 
+    @pytest.mark.parametrize("m", [1, 8, 64, 160])
+    def test_the_small_expm_matches_the_oracle(self, m):
+        rng = np.random.default_rng(m)
+        for norm in np.geomspace(1e-3, 50.0, 6):
+            A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            A *= norm / np.linalg.norm(A, 1)
+            v = rng.normal(size=m) + 1j * rng.normal(size=m)
+            ref = oracle_expm(A, v, 1.0).amplitudes
+            assert np.linalg.norm(dynamics._expm(A) @ v - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    # a stride grid whose last step is short, and a library grid of two step lengths
+    GRIDS = (step_indices(0.01, 1.0, 3) * 0.01, np.array([0.0, 0.3, 2.0]))
+
+    @pytest.mark.parametrize("cap", [KRYLOV_MAX_DIM, 8])
+    def test_uneven_steps_match_eigen(self, cap, monkeypatch):
+        monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", cap)
+        steps = []
+
+        def spy(H, scale, runs, residual, tol, _rows=dynamics._stepped_rows):
+            steps.extend(step for _, step in runs)
+            return _rows(H, scale, runs, residual, tol)
+
+        monkeypatch.setattr(dynamics, "_stepped_rows", spy)
+        e = build_sphere_lattice(3.0, 1.0, target_count=40)
+        M, beta0 = build_generator(e, "exp"), plus_state(e)
+        for times in self.GRIDS:
+            traj = krylov_propagate(M, beta0, times)
+            assert np.abs(traj.amplitudes - eigen_solve(M, beta0, times).amplitudes).max() < 1e-10
+        gaps = np.concatenate([np.diff(times) for times in self.GRIDS])
+        assert np.isclose(steps, 0.01).any() and np.isclose(steps, 1.7).any()  # short steps
+        # under the small cap a basis met no row and halved its step, ending between rows
+        halved = [s for s in steps if not np.isclose(s, gaps, rtol=0, atol=1e-12).any()]
+        assert bool(halved) == (cap == 8)
+
+    def test_no_eigenproblem_and_no_condition_number(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Krylov route solved an eigenproblem")
+
+        for name in ("eig", "eigh", "cond"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 8)
+        e = build_sphere_lattice(3.0, 1.0, target_count=40)
+        for kernel in ("sine", "exp"):
+            propagate(build_generator(e, kernel), plus_state(e), 0.01, 1.0, 3, "krylov")
+
+    def test_non_finite_rows_fail_loudly(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_expm", lambda A: np.full_like(A, np.nan))
+        with pytest.raises(ValueError, match="finite"):
+            krylov_propagate(-np.eye(3), np.array([1.0, 0.5, 0.0]), [0.0, 1.0])
+
     def test_zero_state_and_invariant_subspace(self):
         M = np.array([[-1.0, 0.0], [0.0, -2.0]])
         zero = krylov_propagate(M, np.zeros(2), [0.0, 1.0, 2.0])
@@ -273,10 +324,11 @@ class TestKrylov:
         assert np.abs(one.amplitudes[:, 0] - np.exp(-np.array([0.0, 1.0, 2.0]))).max() < 1e-15
         assert np.array_equal(one.amplitudes[:, 1], np.zeros(3))
 
-    def test_a_defective_generator_fails_loudly(self):
+    def test_a_defective_generator_propagates(self):
         jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])  # e^{Mt} (0, 1) = e^{-t} (t, 1)
-        with pytest.raises(DegenerateSpectrumError, match="KRYLOV_TOL = 1e-10"):
-            krylov_propagate(jordan, np.array([0.0, 1.0]), [0.0, 1.0])
+        beta0 = np.array([0.0, 1.0])
+        traj = krylov_propagate(jordan, beta0, [0.0, 1.0])
+        assert np.abs(traj.amplitudes[-1] - oracle_expm(jordan, beta0, 1.0).amplitudes).max() < 1e-10
 
 
 class TestRealSymmetricPath:

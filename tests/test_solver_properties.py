@@ -3,7 +3,8 @@ the solvers agree with the expm oracle, the Krylov route keeps total excitation
 from rising, relabelling the atoms leaves the run's relabelling-free columns
 unchanged, the TD transform is unitary and its first-k projection is the first k
 columns of the whole one, and one-atom sections reduce section states to ladder
-states, bit for bit as the per-section loop builds them."""
+states, bit for bit as the per-section loop builds them; and every column a run writes is
+the same reduction of the trajectory that its blocks factor."""
 
 from dataclasses import replace
 
@@ -11,14 +12,16 @@ import pytest
 
 pytest.importorskip("hypothesis")
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import tdsim.dynamics as dynamics
 from tdsim import (Ensemble, build_generator, build_line, build_sphere_lattice,
                    build_transform, eigen_solve, ladder_state, oracle_expm,
                    partition_sections, plus_state, propagate, rk4_propagate, section_state,
                    state_population, total_excitation)
 from tdsim.basis import timing_phases
+from tdsim.cli import RunConfig, simulate
 from tdsim.dynamics import krylov_propagate, step_indices
 
 
@@ -59,14 +62,6 @@ def test_rk4_agrees_with_the_oracle(ensemble, kernel, t_max):
     assert np.abs(rk4.amplitudes[-1] - ref).max() < 1e-6  # criterion 4
 
 
-@settings(max_examples=20, deadline=None)
-@given(ensemble=ensembles(0.05))
-def test_one_atom_sections_give_the_ladder_states(ensemble):
-    e = replace(ensemble, sections=np.arange(ensemble.n))
-    for m in {2, 3, e.n} & set(range(2, e.n + 1)):
-        assert np.array_equal(section_state(e, m).amplitudes, ladder_state(e, m).amplitudes)
-
-
 def bits(amplitudes):
     return amplitudes.view(np.uint64)  # bit patterns, so signed zeros count
 
@@ -83,12 +78,16 @@ def section_state_loop(e, m):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ensemble=ensembles(0.05).filter(lambda e: e.n >= 2), data=st.data())
-def test_ladder_and_section_states_are_one_pattern_bit_for_bit(ensemble, data):
+@given(ensemble=ensembles(0.05).filter(lambda e: e.n >= 2), m=st.integers(2, 40),
+       sections=st.integers(2, 40), axis=st.sampled_from([None, (0.0, 0.0, 1.0)]))
+@example(ensemble=build_line(7, 0.8), m=2, sections=2, axis=None)
+@example(ensemble=build_sphere_lattice(2.5, 1.0, target_count=9), m=3, sections=5,
+         axis=(0.0, 0.0, 1.0))
+@example(ensemble=build_line(7, 0.8), m=7, sections=7, axis=None)  # m = N
+def test_ladder_and_section_states_are_one_pattern_bit_for_bit(ensemble, m, sections, axis):
     n = ensemble.n
-    m = data.draw(st.integers(2, n), label="m")
-    slabs = partition_sections(ensemble, data.draw(st.integers(m, n), label="sections"),
-                               data.draw(st.sampled_from([None, (0.0, 0.0, 1.0)]), label="axis"))
+    m = min(m, n)  # then m <= sections <= n
+    slabs = partition_sections(ensemble, min(max(sections, m), n), axis)
     one_atom = replace(ensemble, sections=np.arange(n))
     assert np.array_equal(bits(ladder_state(one_atom, m).amplitudes),
                           bits(section_state(one_atom, m).amplitudes))
@@ -149,3 +148,43 @@ def test_the_first_k_projection_is_the_first_k_columns_of_apply(positions, k0_ve
         # |2>..|k> are apply's own numbers; |+> is a dot product instead of a prefix sum
         assert np.array_equal(got[..., 1:], ref[..., 1:])
         assert np.all(np.abs(got[..., 0] - ref[..., 0]) <= 1e-14 * np.linalg.norm(x, axis=-1))
+
+
+def jittered_clouds(spacing, count):
+    """Positions-only clouds: each point of a trimmed lattice moved by up to 0.3 spacings."""
+    def cloud(s, n, k0_vec):
+        base = build_sphere_lattice(2.5 * s, s, target_count=n).positions
+        return arrays(float, (n, 3), elements=st.floats(-0.3, 0.3)).map(
+            lambda jitter: Ensemble(base + s * jitter, k0_vec))
+    return st.tuples(spacing, count, K0_VECS).flatmap(lambda args: cloud(*args))
+
+
+RUN_ENSEMBLES = st.one_of(
+    ensembles(0.05).filter(lambda e: e.n >= 2),
+    jittered_clouds(st.floats(min_value=0.05, max_value=3.0), st.integers(2, 40)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(ensemble=RUN_ENSEMBLES, kernel=KERNELS, solver=st.sampled_from(["krylov", "auto"]),
+       init=st.sampled_from(["plus", "ladder:2", "section:2"]))
+def test_the_run_columns_are_the_reductions_of_the_built_trajectory(ensemble, kernel, solver,
+                                                                    init):
+    e = partition_sections(ensemble, 2)
+    start = {"plus": plus_state(e), "ladder:2": ladder_state(e, 2),
+             "section:2": section_state(e, 2)}[init]
+    config = RunConfig(kernel=kernel, init=init, solver=solver, sections=2, t_max=1.0,
+                       tracked="all")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "KRYLOV_MAX_DIM", 8)  # bases restart; auto is eigen to N = 8
+        result = simulate((config, e, list(range(1, e.n + 1)), start))
+        traj = propagate(build_generator(e, kernel), start, config.dt, config.t_max,
+                         solver=solver)
+    td = build_transform(e).apply(traj.amplitudes)
+    expect = {("pop_plus" if i == 0 else f"pop_{i + 1}"): np.abs(td[:, i]) ** 2
+              for i in range(e.n)}
+    if init == "section:2":
+        expect["pop_init"] = state_population(traj, start).values
+    expect["total"] = total_excitation(traj).values
+    assert [name for name, _ in result.columns] == list(expect)
+    for name, series in result.columns:
+        assert np.abs(series.values - expect[name]).max() <= 1e-13, name
