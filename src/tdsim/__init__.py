@@ -24,7 +24,6 @@ from .dynamics import (
     Trajectory,
     eigen_decompose,
     eigen_solve,
-    krylov_propagate,
     oracle_expm,
     propagate,
     rk4_propagate,
@@ -65,7 +64,6 @@ __all__ = [
     "eigen_decompose",
     "eigen_solve",
     "fa_transfer",
-    "krylov_propagate",
     "ladder_state",
     "oracle_expm",
     "partition_sections",

@@ -543,6 +543,8 @@ def main(argv=None) -> int:
         outs = [Path(_default_out(args.command, args.preset, suffix, config.output))
                 for suffix, config in configs]
         for out in outs:  # checked before any run spends compute
+            if out.is_dir():
+                raise ConfigError(f"cannot write {out}: it is a directory")
             if not out.parent.is_dir():
                 raise ConfigError(f"cannot write {out}: {out.parent} is not a directory")
         # consecutive configs that share a generator share its build (and its table)

@@ -3,18 +3,19 @@
 :func:`step_indices` owns the time-grid rule (``t_max`` a multiple of ``dt``).
 :func:`propagate` is a run's one entry point: it holds the ``auto`` rule
 (eigen where one Krylov basis would span the whole space, N <= ``KRYLOV_MAX_DIM``,
-Krylov above) and passes the time grid to one of two routes, each held to
-``KRYLOV_TOL`` or raising:
+Krylov above) and passes the grid's integer steps of ``dt`` to one of two routes, each held
+to ``KRYLOV_TOL`` or raising:
 
-* :func:`eigen_solve`      -- spectral solution sum_i c_i V_i e^{l_i t} (eigh if real
-  symmetric); an ill-conditioned or defective eigenbasis raises;
-* :func:`krylov_propagate` -- Arnoldi bases checked by Saad's error estimate, each stepping
-  its rows y (beta = y V, m values) by one small e^{dt H_m} per step length: no
-  eigenproblem, so a defective generator propagates too.
+* ``eigen``  -- :func:`eigen_solve`, the spectral solution sum_i c_i V_i e^{l_i t} (eigh if
+  real symmetric); an ill-conditioned or defective eigenbasis raises;
+* ``krylov`` -- Arnoldi bases checked by Saad's error estimate, each stepping its rows y
+  (beta = y V, m values) by one small e^{k dt H_m} per gap of k steps: no eigenproblem, so
+  a defective generator propagates too.
 
 :func:`propagate_factored` is the same run as a :class:`FactoredTrajectory`, blocks (Y, V)
 that a caller reduces through each Krylov basis V without forming the T x N trajectory
-that :func:`propagate` builds.
+that :func:`propagate` builds.  Arbitrary ``times`` go through :func:`eigen_solve` (or
+:func:`oracle_expm`, one ``t`` at a time).
 
 Two references only cross-check them, and no run goes through either:
 
@@ -40,7 +41,6 @@ __all__ = [
     "propagate_factored",
     "DegenerateSpectrumError",
     "rk4_propagate",
-    "krylov_propagate",
     "eigen_decompose",
     "eigen_solve",
     "oracle_expm",
@@ -206,10 +206,10 @@ def propagate_factored(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     if solver == "auto":
         n = np.shape(getattr(generator, "matrix", generator))[0]
         solver = "eigen" if n <= KRYLOV_MAX_DIM else "krylov"
-    times = step_indices(dt, t_max, stride) * dt
+    steps = step_indices(dt, t_max, stride)
     if solver == "krylov":
-        return _krylov(generator, state0, times)
-    traj = eigen_solve(generator, state0, times)
+        return _krylov(generator, state0, steps, dt)
+    traj = eigen_solve(generator, state0, steps * dt)
     return FactoredTrajectory(traj.times, ((traj.amplitudes, None),), traj.basis, traj.solver)
 
 
@@ -231,27 +231,26 @@ def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     return Trajectory(times=keep * dt, amplitudes=out, basis=basis, solver="rk4")
 
 
-def krylov_propagate(generator, state0, times) -> Trajectory:
-    """beta(t) = e^{Mt} beta(0) on a time grid, built from :func:`_krylov`'s blocks."""
-    return _krylov(generator, state0, times).built()
-
-
-def _krylov(generator, state0, times) -> FactoredTrajectory:
-    """Arnoldi bases (two Gram-Schmidt passes) of at most ``KRYLOV_MAX_DIM`` vectors.  A basis
-    V of beta(t0) grows until every later row passes Saad's (1992) a posteriori estimate,
+def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
+    """Arnoldi bases (two Gram-Schmidt passes) of at most ``KRYLOV_MAX_DIM`` vectors over the
+    grid ``steps * dt`` (``steps`` from :func:`step_indices`).  A basis V of beta(t0) grows
+    until every later row passes Saad's (1992) a posteriori estimate,
     h_{m+1,m} |e_m^T y_k| <= ``KRYLOV_TOL`` |beta(0)|, or it reaches the cap; its rows y_k
-    (beta = y_k V) come from :func:`_stepped_rows`.  It keeps the rows before the first that
-    fails and the next basis restarts from the last (as in Expokit); a capped basis that
-    passes no row halves its first step until one passes."""
+    (beta = y_k V) come from :func:`_stepped_rows`, one run per stretch of equal step gaps.
+    It keeps the rows before the first that fails and the next basis restarts from the last
+    (as in Expokit); a capped basis that passes no row halves its first step until one passes."""
     matrix, beta, basis = _resolve(generator, state0)
-    t = _time_grid(times)
+    t = steps * dt
     tol = KRYLOV_TOL * np.linalg.norm(beta)
     dim = min(KRYLOV_MAX_DIM, beta.size)
     V = np.empty((dim + 1, beta.size), dtype=complex)  # rows: the orthonormal basis
     H = np.empty((dim + 1, dim), dtype=complex)
     blocks, row, t0 = [(beta[None], None)], 1, 0.0
-    while row < t.size:  # a grid time, and so a difference of two, is rounded to eps |t|
-        steps = _uniform_runs(t[row:], t0, 4 * np.finfo(float).eps * t[-1])
+    while row < t.size:
+        head = [] if t0 == t[row - 1] else [(1, t[row] - t0)]  # a halved step's remainder
+        gaps = np.diff(steps[row - 1 + len(head):])
+        ends = np.flatnonzero(np.diff(gaps, append=0))  # the last gap of each equal stretch
+        runs = head + [(n, gap * dt) for n, gap in zip(np.diff(ends, prepend=-1), gaps[ends])]
         scale = np.linalg.norm(beta) or 1.0  # a zero state spans a zero basis
         V[0], H[:] = beta / scale, 0
         for m in range(1, dim + 1):
@@ -262,7 +261,7 @@ def _krylov(generator, state0, times) -> FactoredTrajectory:
                 H[:m, m - 1] += h
             H[m, m - 1] = residual = np.linalg.norm(w)
             if m % _KRYLOV_CHECK == 0 or m == dim or residual == 0:
-                Y = _stepped_rows(H[:m, :m], scale, steps, residual, tol)
+                Y = _stepped_rows(H[:m, :m], scale, runs, residual, tol)
                 if len(Y) == t.size - row or m == dim:
                     break
             V[m] = w / residual
@@ -286,26 +285,6 @@ def _krylov(generator, state0, times) -> FactoredTrajectory:
         row += len(Y)
         t0 = t[row - 1]
     return FactoredTrajectory(t, tuple(blocks), basis, "krylov")
-
-
-def _uniform_runs(t, t0, tol) -> list[tuple[int, float]]:
-    """The times ``t`` after ``t0`` as (rows, step) runs, each run from the last time of the
-    one before: row j of a run is within ``tol`` of its start + j step, so one e^{step H}
-    serves the run (a grid of one ``dt`` is one run, plus one for a short last step)."""
-    runs = []
-    while t.size:
-        p = t - t0
-        j = np.arange(1, p.size + 1)
-        # the rows on the first step, whose own rounding grows with j; then the step fitted
-        # to the last of them, and the rows within tol of its multiples
-        n = np.append(np.abs(p - j * p[0]) > (j + 1) * tol, True).argmax()
-        step = p[n - 1] / n
-        n = np.append(np.abs(p[:n] - j[:n] * step) > tol, True).argmax()
-        if n == 0:
-            n, step = 1, p[0]
-        runs.append((n, step))
-        t, t0 = t[n:], t[n - 1]
-    return runs
 
 
 def _stepped_rows(H, scale, steps, residual, tol) -> np.ndarray:

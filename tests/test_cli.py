@@ -578,6 +578,12 @@ class TestMainEntry:
         assert "x_sine_plus.csv" in err
         assert not list(tmp_path.iterdir())
 
+    def test_an_output_directory_exits_before_the_first_run(self, tmp_path, capsys,
+                                                             no_generator):
+        assert main(["run", "--geometry", "line", "--n", "3", "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"tdsim: cannot write {tmp_path}: it is a directory\n"
+        assert not list(tmp_path.iterdir())
+
     def test_auto_solver_above_the_eigen_limit_echoes_krylov(self, tmp_path):
         out = tmp_path / "big.csv"
         assert main(["run", "--geometry", "line", "--n", "501", "--t-max", "0.02",

@@ -23,7 +23,6 @@ from tdsim.dynamics import (
     KRYLOV_MAX_DIM,
     DegenerateSpectrumError,
     Trajectory,
-    krylov_propagate,
     step_indices,
 )
 
@@ -39,7 +38,7 @@ def random_stable_matrix(rng, n):
 ROUTES = (
     lambda M, beta0: rk4_propagate(M, beta0, dt=0.5, t_max=1.0),
     lambda M, beta0: eigen_solve(M, beta0, [0.0, 1.0]),
-    lambda M, beta0: krylov_propagate(M, beta0, [0.0, 1.0]),
+    lambda M, beta0: propagate(M, beta0, 1.0, 1.0, 1, "krylov"),
 )
 
 
@@ -147,7 +146,7 @@ class TestEigenSolve:
         for d, ok in ((3e-12, False), (1e-4, True)):
             M, beta0 = np.array([[-1.0, 1.0], [d * d, -1.0]]), np.array([0.0, 1.0])
             ref = oracle_expm(M, beta0, 1.0).amplitudes
-            krylov = krylov_propagate(M, beta0, [0.0, 1.0]).amplitudes[-1]
+            krylov = propagate(M, beta0, 1.0, 1.0, 1, "krylov").amplitudes[-1]
             assert np.abs(krylov - ref).max() < 1e-10
             if ok:
                 assert np.abs(eigen_solve(M, beta0, [0.0, 1.0]).amplitudes[-1] - ref).max() < 1e-10
@@ -255,15 +254,15 @@ class TestKrylov:
         monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 8)
         e = build_sphere_lattice(3.0, 1.0, target_count=40)
         M, beta0 = build_generator(e, "exp"), plus_state(e)
-        for times in (np.arange(1001) * 0.01, np.array([0.0, 2.0])):
-            traj = krylov_propagate(M, beta0, times)
-            ref = eigen_solve(M, beta0, times)
+        for dt, t_max in ((0.01, 10.0), (2.0, 2.0)):
+            traj = propagate(M, beta0, dt, t_max, 1, "krylov")
+            ref = eigen_solve(M, beta0, traj.times)
             assert np.abs(traj.amplitudes - ref.amplitudes).max() < 1e-10
         # one basis cannot reach t = 2, so that interval was split at an internal time
         counted = build_generator(e, "exp")
         object.__setattr__(counted, "matrix", counted.matrix.view(self.CountingMatrix))
         self.CountingMatrix.products = 0
-        krylov_propagate(counted, beta0, [0.0, 2.0])
+        propagate(counted, beta0, 2.0, 2.0, 1, "krylov")
         assert self.CountingMatrix.products > 8
 
     @pytest.mark.parametrize("m", [1, 8, 64, 160])
@@ -276,28 +275,31 @@ class TestKrylov:
             ref = oracle_expm(A, v, 1.0).amplitudes
             assert np.linalg.norm(dynamics._expm(A) @ v - ref) <= 1e-13 * np.linalg.norm(ref)
 
-    # a stride grid whose last step is short, and a library grid of two step lengths
-    GRIDS = (step_indices(0.01, 1.0, 3) * 0.01, np.array([0.0, 0.3, 2.0]))
+    # (dt, t_max, stride): a stride grid whose last step is short, and one step of 2
+    GRIDS = ((0.01, 1.0, 3), (2.0, 2.0, 1))
 
     @pytest.mark.parametrize("cap", [KRYLOV_MAX_DIM, 8])
     def test_uneven_steps_match_eigen(self, cap, monkeypatch):
         monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", cap)
-        steps = []
+        calls = []
 
         def spy(H, scale, runs, residual, tol, _rows=dynamics._stepped_rows):
-            steps.extend(step for _, step in runs)
+            calls.append(runs)
             return _rows(H, scale, runs, residual, tol)
 
         monkeypatch.setattr(dynamics, "_stepped_rows", spy)
         e = build_sphere_lattice(3.0, 1.0, target_count=40)
         M, beta0 = build_generator(e, "exp"), plus_state(e)
-        for times in self.GRIDS:
-            traj = krylov_propagate(M, beta0, times)
-            assert np.abs(traj.amplitudes - eigen_solve(M, beta0, times).amplitudes).max() < 1e-10
-        gaps = np.concatenate([np.diff(times) for times in self.GRIDS])
-        assert np.isclose(steps, 0.01).any() and np.isclose(steps, 1.7).any()  # short steps
+        for grid in self.GRIDS:
+            traj = propagate(M, beta0, *grid, "krylov")
+            ref = eigen_solve(M, beta0, traj.times)
+            assert np.abs(traj.amplitudes - ref.amplitudes).max() < 1e-10
+        # the stride grid's first check: one run per stretch of equal gaps of k steps, k dt
+        assert calls[0] == [(33, 3 * 0.01), (1, 1 * 0.01)]
         # under the small cap a basis met no row and halved its step, ending between rows
-        halved = [s for s in steps if not np.isclose(s, gaps, rtol=0, atol=1e-12).any()]
+        gaps = (0.03, 0.01, 2.0)
+        halved = [s for runs in calls for _, s in runs
+                  if not np.isclose(s, gaps, rtol=0, atol=1e-12).any()]
         assert bool(halved) == (cap == 8)
 
     def test_no_eigenproblem_and_no_condition_number(self, monkeypatch):
@@ -314,20 +316,20 @@ class TestKrylov:
     def test_non_finite_rows_fail_loudly(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_expm", lambda A: np.full_like(A, np.nan))
         with pytest.raises(ValueError, match="finite"):
-            krylov_propagate(-np.eye(3), np.array([1.0, 0.5, 0.0]), [0.0, 1.0])
+            propagate(-np.eye(3), np.array([1.0, 0.5, 0.0]), 1.0, 1.0, 1, "krylov")
 
     def test_zero_state_and_invariant_subspace(self):
         M = np.array([[-1.0, 0.0], [0.0, -2.0]])
-        zero = krylov_propagate(M, np.zeros(2), [0.0, 1.0, 2.0])
+        zero = propagate(M, np.zeros(2), 1.0, 2.0, 1, "krylov")
         assert np.array_equal(zero.amplitudes, np.zeros((3, 2)))
-        one = krylov_propagate(M, np.array([1.0, 0.0]), [0.0, 1.0, 2.0])  # 1-vector basis
+        one = propagate(M, np.array([1.0, 0.0]), 1.0, 2.0, 1, "krylov")  # 1-vector basis
         assert np.abs(one.amplitudes[:, 0] - np.exp(-np.array([0.0, 1.0, 2.0]))).max() < 1e-15
         assert np.array_equal(one.amplitudes[:, 1], np.zeros(3))
 
     def test_a_defective_generator_propagates(self):
         jordan = np.array([[-1.0, 1.0], [0.0, -1.0]])  # e^{Mt} (0, 1) = e^{-t} (t, 1)
         beta0 = np.array([0.0, 1.0])
-        traj = krylov_propagate(jordan, beta0, [0.0, 1.0])
+        traj = propagate(jordan, beta0, 1.0, 1.0, 1, "krylov")
         assert np.abs(traj.amplitudes[-1] - oracle_expm(jordan, beta0, 1.0).amplitudes).max() < 1e-10
 
 
@@ -370,8 +372,7 @@ class TestRealSymmetricPath:
         M, beta0 = sphere
         assert M.matrix.dtype == np.float64
         cast = M.matrix.astype(complex)
-        times = np.arange(101) * 0.01
-        for solve in (lambda G: krylov_propagate(G, beta0, times),
+        for solve in (lambda G: propagate(G, beta0, 0.01, 1.0, 1, "krylov"),
                       lambda G: rk4_propagate(G, beta0, 0.01, 1.0)):
             assert np.abs(solve(M).amplitudes - solve(cast).amplitudes).max() < 1e-13
 
@@ -381,7 +382,7 @@ class TestRealSymmetricPath:
         assert M.matrix.dtype == np.float64
         tracemalloc.start()
         try:
-            krylov_propagate(M, beta0, np.linspace(0.0, 1.0, 11))
+            propagate(M, beta0, 0.1, 1.0, 1, "krylov")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -391,11 +392,6 @@ class TestRealSymmetricPath:
 class TestPropagate:
     DT, T_MAX, STRIDE = 0.01, 0.05, 2
     GRID = np.array([0, 2, 4, 5]) * 0.01  # every 2nd step plus the last
-
-    def direct(self, method, M, beta0):
-        if method == "krylov":
-            return krylov_propagate(M, beta0, self.GRID)
-        return eigen_solve(M, beta0, self.GRID)
 
     @pytest.mark.parametrize("n,solver,method", [
         (KRYLOV_MAX_DIM, "auto", "eigen"),
@@ -407,11 +403,14 @@ class TestPropagate:
         e = build_line(n)
         M, beta0 = build_generator(e, "sine"), plus_state(e)
         traj = propagate(M, beta0, self.DT, self.T_MAX, self.STRIDE, solver)
-        ref = self.direct(method, M, beta0)
+        ref = eigen_solve(M, beta0, self.GRID)
         assert traj.solver == method
         np.testing.assert_array_equal(traj.times, self.GRID)
         assert np.array_equal(traj.times, ref.times)
-        assert np.array_equal(traj.amplitudes, ref.amplitudes)
+        if method == "eigen":
+            assert np.array_equal(traj.amplitudes, ref.amplitudes)
+        else:  # the Krylov route has no second entry point: it meets eigen within its bound
+            assert np.abs(traj.amplitudes - ref.amplitudes).max() < 1e-10
 
     def test_rejects_an_unknown_solver_and_a_bad_grid(self):
         M, beta0 = np.array([[-1.0]]), np.array([1.0])

@@ -1,10 +1,10 @@
 """Properties over random small lines, spheres and clouds (N <= 40, both kernels):
-the solvers agree with the expm oracle, the Krylov route keeps total excitation
-from rising, relabelling the atoms leaves the run's relabelling-free columns
-unchanged, the TD transform is unitary and its first-k projection is the first k
-columns of the whole one, and one-atom sections reduce section states to ladder
-states, bit for bit as the per-section loop builds them; and every column a run writes is
-the same reduction of the trajectory that its blocks factor."""
+the solvers agree with the expm oracle and Krylov with eigen on any step grid, the
+Krylov route keeps total excitation from rising, relabelling the atoms leaves the run's
+relabelling-free columns unchanged, the TD transform is unitary and its first-k
+projection is the first k columns of the whole one, and one-atom sections reduce section
+states to ladder states, bit for bit as the per-section loop builds them; and every column
+a run writes is the same reduction of the trajectory that its blocks factor."""
 
 from dataclasses import replace
 
@@ -22,7 +22,6 @@ from tdsim import (Ensemble, build_generator, build_line, build_sphere_lattice,
                    state_population, total_excitation)
 from tdsim.basis import timing_phases
 from tdsim.cli import RunConfig, simulate
-from tdsim.dynamics import krylov_propagate, step_indices
 
 
 def ensembles(min_spacing):
@@ -42,13 +41,26 @@ T_MAX = st.sampled_from([0.5, 2.0])
 @given(ensemble=ensembles(0.05), kernel=KERNELS, t_max=T_MAX)
 def test_krylov_and_eigen_agree_with_the_oracle(ensemble, kernel, t_max):
     M, beta0 = build_generator(ensemble, kernel), plus_state(ensemble)
-    times = step_indices(0.01, t_max) * 0.01
-    krylov = krylov_propagate(M, beta0, times)
+    krylov = propagate(M, beta0, 0.01, t_max, 1, "krylov")
     ref = oracle_expm(M, beta0, t_max).amplitudes
     assert np.abs(krylov.amplitudes[-1] - ref).max() < 1e-10
-    assert np.abs(eigen_solve(M, beta0, times).amplitudes[-1] - ref).max() < 1e-6
+    assert np.abs(eigen_solve(M, beta0, krylov.times).amplitudes[-1] - ref).max() < 1e-6
     total = np.sum(np.abs(krylov.amplitudes) ** 2, axis=1)
     assert np.diff(total).max() <= 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(ensemble=ensembles(0.05), kernel=KERNELS, dt=st.floats(0.001, 0.25),
+       n_steps=st.integers(1, 40), stride=st.integers(1, 40))
+@example(ensemble=build_sphere_lattice(3.0, 1.0, target_count=40), kernel="exp", dt=0.01,
+         n_steps=40, stride=7)  # a short last step
+def test_krylov_on_any_step_grid_matches_eigen(ensemble, kernel, dt, n_steps, stride):
+    M, beta0 = build_generator(ensemble, kernel), plus_state(ensemble)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "KRYLOV_MAX_DIM", 8)  # bases restart and halve their steps
+        krylov = propagate(M, beta0, dt, n_steps * dt, stride, "krylov")
+    ref = eigen_solve(M, beta0, krylov.times).amplitudes
+    assert np.abs(krylov.amplitudes - ref).max() < 1e-10
 
 
 # RK4 at dt = 0.01 is unguarded below this spacing: a 3-atom exp line 0.125/k0
