@@ -31,6 +31,7 @@ from .dynamics import (
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import (
     GeneratorMatrix,
+    LatticeGenerator,
     assemble_td_direct,
     build_generator,
     transform_generator,
@@ -52,6 +53,7 @@ __all__ = [
     "EigenSolution",
     "Ensemble",
     "GeneratorMatrix",
+    "LatticeGenerator",
     "ObservableSeries",
     "TDTransform",
     "Trajectory",

@@ -453,7 +453,7 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
     eigenvalues are taken from M directly.
     """
     ensemble = _build_ensemble(replace(config, sections=None))  # sections do not enter
-    M = build_generator(ensemble, config.kernel, config.gamma).matrix
+    M = build_generator(ensemble, config.kernel, config.gamma, dense=True).matrix
     eig = np.linalg.eigvalsh(M) if real_symmetric(M) else np.linalg.eigvals(M)
     return eig[np.lexsort((eig.imag, eig.real))]
 

@@ -10,7 +10,9 @@ to ``KRYLOV_TOL`` or raising:
   real symmetric); an ill-conditioned or defective eigenbasis raises;
 * ``krylov`` -- Arnoldi bases checked by Saad's error estimate, each stepping its rows y
   (beta = y V, m values) by one small e^{k dt H_m} per gap of k steps: no eigenproblem, so
-  a defective generator propagates too.
+  a defective generator propagates too.  It needs only ``generator @ v``, so a
+  :class:`~tdsim.kernels.LatticeGenerator` runs with no N x N array; every other route
+  (and the references below) reads the generator's dense ``matrix`` once per call.
 
 :func:`propagate_factored` is the same run as a :class:`FactoredTrajectory`, blocks (Y, V)
 that a caller reduces through each Krylov basis V without forming the T x N trajectory
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FOCK, AmplitudeState
-from .kernels import GeneratorMatrix, real_symmetric
+from .kernels import GeneratorMatrix, LatticeGenerator, apply_matrix, real_symmetric
 
 __all__ = [
     "Trajectory",
@@ -128,10 +130,10 @@ class EigenSolution:
 
 
 def _resolve(generator, state0):
-    """Matrix, amplitudes and basis of a run.  A raw array is wrapped in its type, which
+    """Generator and start state of a run.  A raw array is wrapped in its type, which
     checks it, under the other input's basis tag (``fock`` if neither has one); what
     no single type can check, that the two agree in basis and dimension, is checked here."""
-    if not isinstance(generator, GeneratorMatrix):
+    if not isinstance(generator, (GeneratorMatrix, LatticeGenerator)):
         generator = GeneratorMatrix(generator, getattr(state0, "basis", FOCK))
     if not isinstance(state0, AmplitudeState):
         state0 = AmplitudeState(state0, generator.basis)
@@ -143,7 +145,7 @@ def _resolve(generator, state0):
         raise ValueError(
             f"dimension mismatch: generator is {generator.n}, state is {state0.n}"
         )
-    return generator.matrix, state0.amplitudes, generator.basis
+    return generator, state0
 
 
 def _check_conditioned(V) -> None:
@@ -154,15 +156,6 @@ def _check_conditioned(V) -> None:
         raise DegenerateSpectrumError(
             f"eigenvector condition number {cond:.3e} times eps exceeds KRYLOV_TOL = "
             f"{KRYLOV_TOL:.0e}")
-
-
-def _apply(matrix, x):
-    """``matrix @ x`` for complex ``x``, never casting a real matrix to complex (N x N)."""
-    if np.iscomplexobj(matrix):
-        return matrix @ x
-    if x.ndim == 2:  # one real product with the block's (N, 2T) float view
-        return (matrix @ np.ascontiguousarray(x).view(float)).view(complex)
-    return matrix @ x.real + 1j * (matrix @ x.imag)
 
 
 def _time_grid(times) -> np.ndarray:
@@ -203,9 +196,9 @@ def propagate_factored(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     Krylov basis (after the row of beta(0)) another."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {list(SOLVERS)}, got {solver!r}")
+    generator, state0 = _resolve(generator, state0)
     if solver == "auto":
-        n = np.shape(getattr(generator, "matrix", generator))[0]
-        solver = "eigen" if n <= KRYLOV_MAX_DIM else "krylov"
+        solver = "eigen" if generator.n <= KRYLOV_MAX_DIM else "krylov"
     steps = step_indices(dt, t_max, stride)
     if solver == "krylov":
         return _krylov(generator, state0, steps, dt)
@@ -216,19 +209,20 @@ def propagate_factored(generator, state0, dt: float = 0.01, t_max: float = 10.0,
 def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
                   stride: int = 1) -> Trajectory:
     """Fixed-step RK4 integration, snapshots every ``stride`` steps."""
-    matrix, beta0, basis = _resolve(generator, state0)
+    generator, state0 = _resolve(generator, state0)
+    matrix = generator.matrix
     keep = step_indices(dt, t_max, stride)
-    out = np.empty((keep.size, beta0.size), dtype=complex)
-    out[0] = beta = beta0
+    out = np.empty((keep.size, state0.n), dtype=complex)
+    out[0] = beta = state0.amplitudes
     for row in range(1, keep.size):
         for _ in range(keep[row] - keep[row - 1]):  # one classical RK4 step each
-            k1 = _apply(matrix, beta)
-            k2 = _apply(matrix, beta + 0.5 * dt * k1)
-            k3 = _apply(matrix, beta + 0.5 * dt * k2)
-            k4 = _apply(matrix, beta + dt * k3)
+            k1 = apply_matrix(matrix, beta)
+            k2 = apply_matrix(matrix, beta + 0.5 * dt * k1)
+            k3 = apply_matrix(matrix, beta + 0.5 * dt * k2)
+            k4 = apply_matrix(matrix, beta + dt * k3)
             beta = beta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[row] = beta
-    return Trajectory(times=keep * dt, amplitudes=out, basis=basis, solver="rk4")
+    return Trajectory(times=keep * dt, amplitudes=out, basis=generator.basis, solver="rk4")
 
 
 def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
@@ -238,8 +232,10 @@ def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
     h_{m+1,m} |e_m^T y_k| <= ``KRYLOV_TOL`` |beta(0)|, or it reaches the cap; its rows y_k
     (beta = y_k V) come from :func:`_stepped_rows`, one run per stretch of equal step gaps.
     It keeps the rows before the first that fails and the next basis restarts from the last
-    (as in Expokit); a capped basis that passes no row halves its first step until one passes."""
-    matrix, beta, basis = _resolve(generator, state0)
+    (as in Expokit); a capped basis that passes no row halves its first step until one passes.
+    The generator enters only through ``generator @ v``."""
+    generator, state0 = _resolve(generator, state0)
+    beta = state0.amplitudes
     t = steps * dt
     tol = KRYLOV_TOL * np.linalg.norm(beta)
     dim = min(KRYLOV_MAX_DIM, beta.size)
@@ -254,7 +250,7 @@ def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
         scale = np.linalg.norm(beta) or 1.0  # a zero state spans a zero basis
         V[0], H[:] = beta / scale, 0
         for m in range(1, dim + 1):
-            w = _apply(matrix, V[m - 1])
+            w = generator @ V[m - 1]
             for _ in range(2):
                 h = (V[:m] @ w.conj()).conj()
                 w -= h @ V[:m]
@@ -284,7 +280,7 @@ def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
         blocks.append((Y, V[:m].copy()) if len(Y) >= m else (Y @ V[:m], None))
         row += len(Y)
         t0 = t[row - 1]
-    return FactoredTrajectory(t, tuple(blocks), basis, "krylov")
+    return FactoredTrajectory(t, tuple(blocks), generator.basis, "krylov")
 
 
 def _stepped_rows(H, scale, steps, residual, tol) -> np.ndarray:
@@ -330,10 +326,11 @@ def _expm(A) -> np.ndarray:
 def eigen_decompose(generator, state0) -> EigenSolution:
     """Eigenpairs with coefficients V c = beta(0); ``eigh`` (V orthogonal) if real symmetric,
     else ``eig`` with V held to the conditioning rule of :func:`_check_conditioned`."""
-    matrix, beta0, _ = _resolve(generator, state0)
+    generator, state0 = _resolve(generator, state0)
+    matrix, beta0 = generator.matrix, state0.amplitudes
     if real_symmetric(matrix):
         lam, V = np.linalg.eigh(matrix)
-        return EigenSolution(lam, V, _apply(V.T, beta0))
+        return EigenSolution(lam, V, apply_matrix(V.T, beta0))
     lam, V = np.linalg.eig(matrix.astype(complex, copy=False))
     _check_conditioned(V)
     c = np.linalg.solve(V, beta0)
@@ -342,13 +339,13 @@ def eigen_decompose(generator, state0) -> EigenSolution:
 
 def eigen_solve(generator, state0, times) -> Trajectory:
     """Exact-in-time solution beta(t) = V (c * e^{lambda t}) on a time grid."""
-    _, beta0, basis = _resolve(generator, state0)
+    generator, state0 = _resolve(generator, state0)
     t = _time_grid(times)
     sol = eigen_decompose(generator, state0)
     phases = np.exp(np.outer(sol.eigenvalues, t))
-    amp = _apply(sol.eigenvectors, sol.coefficients[:, None] * phases).T
-    amp[0] = beta0
-    return Trajectory(times=t, amplitudes=amp, basis=basis, solver="eigen")
+    amp = apply_matrix(sol.eigenvectors, sol.coefficients[:, None] * phases).T
+    amp[0] = state0.amplitudes
+    return Trajectory(times=t, amplitudes=amp, basis=generator.basis, solver="eigen")
 
 
 def oracle_expm(generator, state0, t: float) -> AmplitudeState:
@@ -358,10 +355,10 @@ def oracle_expm(generator, state0, t: float) -> AmplitudeState:
     path shares no code with rk4_propagate or eigen_solve and exists to
     cross-check them.
     """
-    matrix, beta0, basis = _resolve(generator, state0)
+    generator, state0 = _resolve(generator, state0)
     if not np.isfinite(t):
         raise ValueError("time must be finite")
-    A = matrix.astype(complex, copy=False) * t  # cast once: a real M is summed as complex
+    A = generator.matrix.astype(complex, copy=False) * t  # a real M is summed as complex
     norm = float(np.linalg.norm(A, 1))
     if norm > 2.0**40:
         raise OverflowError(f"||M t|| = {norm:.3e} is out of range for expm")
@@ -377,4 +374,4 @@ def oracle_expm(generator, state0, t: float) -> AmplitudeState:
             break
     for _ in range(squarings):
         E = E @ E
-    return AmplitudeState(E @ beta0, basis)
+    return AmplitudeState(E @ state0.amplitudes, generator.basis)

@@ -17,8 +17,8 @@ No 1/N prefactor is applied here; the 1/N seen in the TD-basis equations
 of motion comes out of the 1/sqrt(N) state normalizations.
 
 The kernel names live in ``KERNELS``.  Kernel and gamma are checked before
-any N x N work; M is float64 for sine and complex for exp.  Two assembly
-paths, picked by the ensemble:
+any N x N work; M is float64 for sine and complex for exp.  Three forms,
+picked by the ensemble:
 
 * lattice (the ensemble carries ``lattice`` and ``spacing``, as every line
   and sphere builder output does): the kernel is evaluated once per lattice
@@ -30,11 +30,18 @@ paths, picked by the ensemble:
 * ``K`` (any other cloud, or a lattice so sparse that its table would
   hold more than N^2 entries, the size of the pair matrix it replaces): the
   kernel on the whole pair matrix, assembled in place, so the peak is K plus M.
+* :class:`LatticeGenerator` (a lattice of N >= ``FFT_MIN_N`` atoms whose padded grid
+  holds at most N^2 cells): no matrix.  M x is a zero-padded convolution over the lattice
+  offsets, by a pruned FFT on a 2-3-5-smooth grid of P >= 2L - 1 cells per axis of extent
+  L; ``matrix`` assembles the dense form on each access.  A matvec, dense against FFT, took
+  0.30 against 0.11 ms on a 1000-atom line, 0.30 against 0.29 ms on fig4's sphere, 3.1
+  against 0.9 ms on a 3000-atom sphere, but 0.03 against 0.15 ms on a 400-atom sphere.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -44,9 +51,11 @@ from .ensemble import Ensemble
 KERNELS = ("sine", "exp")
 # keys per row block on the lattice path (two int64 blocks of scratch, cache-sized)
 BLOCK_KEYS = 1 << 16
+FFT_MIN_N = 1000  # lattices from this N on get the FFT operator (a dense matvec wins below)
 
 __all__ = [
     "GeneratorMatrix",
+    "LatticeGenerator",
     "build_generator",
     "transform_generator",
     "assemble_td_direct",
@@ -79,6 +88,18 @@ class GeneratorMatrix:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+    def __matmul__(self, x):
+        return apply_matrix(self.matrix, x)
+
+
+def apply_matrix(matrix, x):
+    """``matrix @ x`` for complex ``x``, never casting a real matrix to complex (N x N)."""
+    if np.iscomplexobj(matrix):
+        return matrix @ x
+    if x.ndim == 2:  # one real product with the block's (N, 2T) float view
+        return (matrix @ np.ascontiguousarray(x).view(float)).view(complex)
+    return matrix @ x.real + 1j * (matrix @ x.imag)
 
 
 def _fill_kernel(out: np.ndarray, x: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
@@ -131,12 +152,16 @@ def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray
     return M
 
 
-def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
-    """Fock-basis kernel values, self terms set to -gamma, checked finite."""
+def _check_kernel(kernel: str, gamma: float) -> None:
     if kernel not in KERNELS:
         raise ValueError(f"unknown kernel tag {kernel!r}")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
+
+
+def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
+    """Fock-basis kernel values, self terms set to -gamma, checked finite."""
+    _check_kernel(kernel, gamma)
     if ensemble.lattice is not None:
         M = _lattice_matrix(ensemble, kernel, gamma)
         if M is not None:
@@ -150,12 +175,89 @@ def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
     return M
 
 
-def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> GeneratorMatrix:
-    """Fock generator of the ``sine`` or ``exp`` kernel."""
+def _fft_size(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n >= 1."""
+    rest = n
+    for f in (2, 3, 5):
+        while rest % f == 0:
+            rest //= f
+    return n if rest == 1 else _fft_size(n + 1)
+
+
+def _padded_grid(lattice: np.ndarray) -> tuple:
+    """Per axis, the FFT size of a zero-padded convolution over the lattice extent L."""
+    return tuple(_fft_size(2 * int(extent) + 1) for extent in np.ptp(lattice, axis=0))
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeGenerator:
+    """Fock generator of a lattice ensemble, applied by a pruned FFT convolution (see the
+    module docstring); ``matrix`` assembles the dense form on each access, never kept."""
+
+    ensemble: Ensemble
+    kernel: str
+    gamma: float = 1.0
+    basis: str = field(default=FOCK, init=False)
+    _khat: np.ndarray = field(init=False, repr=False)  # the kernel grid's transform
+    _box: tuple = field(init=False, repr=False)  # (L0, L1, P2): padded on the last axis
+    _cells: np.ndarray = field(init=False, repr=False)  # each atom's flat index in the box
+
+    def __post_init__(self):
+        _check_kernel(self.kernel, self.gamma)
+        lattice = self.ensemble.lattice
+        if lattice is None:
+            raise ValueError("LatticeGenerator needs an ensemble with a lattice")
+        grid = _padded_grid(lattice)
+        # squared circular offsets min(i, P - i)^2, summed over the axes
+        d0, d1, d2 = (np.minimum(np.arange(P), P - np.arange(P)) ** 2 for P in grid)
+        x = np.sqrt(d0[:, None, None] + d1[:, None] + d2, dtype=float)
+        x *= self.ensemble.k0 * self.ensemble.spacing
+        table = _fill_kernel(np.zeros(grid, dtype=complex), x, self.kernel, self.gamma)
+        table[0, 0, 0] = -self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite khat raises below
+            khat = np.fft.fftn(table)
+        if not np.all(np.isfinite(khat)):
+            raise ValueError("generator matrix must be finite")
+        box = (*(int(extent) + 1 for extent in np.ptp(lattice[:, :2], axis=0)), grid[2])
+        cells = np.ravel_multi_index(tuple((lattice - lattice.min(axis=0)).T), box)
+        object.__setattr__(self, "_khat", khat)
+        object.__setattr__(self, "_box", box)
+        object.__setattr__(self, "_cells", cells)
+
+    @property
+    def n(self) -> int:
+        return self.ensemble.n
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return _kernel_matrix(self.ensemble, self.kernel, self.gamma)
+
+    def __matmul__(self, x):
+        (P0, P1, _), (L0, L1, _) = self._khat.shape, self._box
+        box = np.zeros(self._box, dtype=complex)
+        box.reshape(-1)[self._cells] = x
+        # forward over the occupied lines only: axis 2 on L0 L1 lines, then axis 1 on L0 P2
+        y = np.fft.fft(np.fft.fft(np.fft.fft(box, axis=2), n=P1, axis=1), n=P0, axis=0)
+        y *= self._khat
+        # and back, keeping the box's rows of each axis before the next
+        y = np.fft.ifft(np.fft.ifft(y, axis=0)[:L0], axis=1)[:, :L1]
+        return np.fft.ifft(y, axis=2).reshape(-1)[self._cells]
+
+
+def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0,
+                    dense: bool = False) -> GeneratorMatrix | LatticeGenerator:
+    """Fock generator of the ``sine`` or ``exp`` kernel: a :class:`LatticeGenerator` for a
+    lattice of N >= ``FFT_MIN_N`` atoms whose padded grid holds at most N^2 cells (unless
+    ``dense``), else the dense :class:`GeneratorMatrix`."""
+    n, lattice = ensemble.n, ensemble.lattice
+    if not dense and n >= FFT_MIN_N and lattice is not None and \
+            math.prod(_padded_grid(lattice)) <= n * n:
+        return LatticeGenerator(ensemble, kernel, gamma)
     return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK, _finite=True)
 
 
-def transform_generator(transform: TDTransform, generator: GeneratorMatrix) -> GeneratorMatrix:
+def transform_generator(transform: TDTransform,
+                        generator: GeneratorMatrix | LatticeGenerator) -> GeneratorMatrix:
     """Conjugate a Fock generator into the TD basis: S M S^dagger."""
     if generator.basis != FOCK:
         raise ValueError("transform_generator expects a fock-basis generator")
