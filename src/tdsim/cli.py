@@ -29,7 +29,7 @@ import numpy as np
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
 from .dynamics import SOLVERS, Trajectory, propagate_factored, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
-from .kernels import KERNELS, build_generator, real_symmetric
+from .kernels import KERNELS, build_generator, fock_matrix, real_symmetric
 from .observables import ObservableSeries, populations
 
 __all__ = [
@@ -453,7 +453,7 @@ def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
     eigenvalues are taken from M directly.
     """
     ensemble = _build_ensemble(replace(config, sections=None))  # sections do not enter
-    M = build_generator(ensemble, config.kernel, config.gamma, dense=True).matrix
+    M = fock_matrix(ensemble, config.kernel, config.gamma)  # the dense M, no FFT grid
     eig = np.linalg.eigvalsh(M) if real_symmetric(M) else np.linalg.eigvals(M)
     return eig[np.lexsort((eig.imag, eig.real))]
 

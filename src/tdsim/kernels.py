@@ -33,9 +33,10 @@ picked by the ensemble:
 * :class:`LatticeGenerator` (a lattice of N >= ``FFT_MIN_N`` atoms whose padded grid
   holds at most N^2 cells): no matrix.  M x is a zero-padded convolution over the lattice
   offsets, by a pruned FFT on a 2-3-5-smooth grid of P >= 2L - 1 cells per axis of extent
-  L; ``matrix`` assembles the dense form on each access.  A matvec, dense against FFT, took
-  0.30 against 0.11 ms on a 1000-atom line, 0.30 against 0.29 ms on fig4's sphere, 3.1
-  against 0.9 ms on a 3000-atom sphere, but 0.03 against 0.15 ms on a 400-atom sphere.
+  L; ``matrix`` assembles the dense form (:func:`fock_matrix`, the first two forms) on each
+  access.  A matvec, dense against FFT, took 0.30 against 0.11 ms on a 1000-atom line, 0.30
+  against 0.29 ms on fig4's sphere, 3.1 against 0.9 ms on a 3000-atom sphere, but 0.03
+  against 0.15 ms on a 400-atom sphere.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
     "GeneratorMatrix",
     "LatticeGenerator",
     "build_generator",
+    "fock_matrix",
     "transform_generator",
     "assemble_td_direct",
 ]
@@ -159,8 +161,9 @@ def _check_kernel(kernel: str, gamma: float) -> None:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
 
 
-def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
-    """Fock-basis kernel values, self terms set to -gamma, checked finite."""
+def fock_matrix(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> np.ndarray:
+    """The dense N x N Fock generator: kernel values, self terms set to -gamma, checked
+    finite; by the lattice table where it fits, else on ``K``."""
     _check_kernel(kernel, gamma)
     if ensemble.lattice is not None:
         M = _lattice_matrix(ensemble, kernel, gamma)
@@ -177,16 +180,19 @@ def _kernel_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray:
 
 def _fft_size(n: int) -> int:
     """The smallest 2^a 3^b 5^c >= n >= 1."""
-    rest = n
-    for f in (2, 3, 5):
-        while rest % f == 0:
-            rest //= f
-    return n if rest == 1 else _fft_size(n + 1)
+    odd = (3 ** b * 5 ** c for b in range(n.bit_length()) for c in range(n.bit_length()))
+    # each odd part m times the least power of two reaching ceil(n / m)
+    return min(m << (-(-n // m) - 1).bit_length() for m in odd if m < 2 * n)
 
 
-def _padded_grid(lattice: np.ndarray) -> tuple:
-    """Per axis, the FFT size of a zero-padded convolution over the lattice extent L."""
-    return tuple(_fft_size(2 * int(extent) + 1) for extent in np.ptp(lattice, axis=0))
+def _padded_grid(lattice: np.ndarray, cap: float = math.inf) -> tuple | None:
+    """Per axis, the FFT size of a zero-padded convolution over the lattice extent L; None
+    if the grid, or its unrounded 2L - 1 cells per axis, would hold more than ``cap`` cells."""
+    sizes = [2 * int(extent) + 1 for extent in np.ptp(lattice, axis=0)]
+    if math.prod(sizes) > cap:
+        return None
+    grid = tuple(_fft_size(size) for size in sizes)
+    return grid if math.prod(grid) <= cap else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,30 +236,31 @@ class LatticeGenerator:
 
     @property
     def matrix(self) -> np.ndarray:
-        return _kernel_matrix(self.ensemble, self.kernel, self.gamma)
+        return fock_matrix(self.ensemble, self.kernel, self.gamma)
 
     def __matmul__(self, x):
+        """``M @ x`` for a vector or an (N, T) block of columns."""
         (P0, P1, _), (L0, L1, _) = self._khat.shape, self._box
-        box = np.zeros(self._box, dtype=complex)
-        box.reshape(-1)[self._cells] = x
+        cols = np.shape(x)[1:]  # () for a vector, (T,) for a block
+        box = np.zeros(self._box + cols, dtype=complex)
+        box.reshape(-1, *cols)[self._cells] = x
         # forward over the occupied lines only: axis 2 on L0 L1 lines, then axis 1 on L0 P2
         y = np.fft.fft(np.fft.fft(np.fft.fft(box, axis=2), n=P1, axis=1), n=P0, axis=0)
-        y *= self._khat
+        y *= self._khat.reshape(self._khat.shape + (1,) * len(cols))
         # and back, keeping the box's rows of each axis before the next
         y = np.fft.ifft(np.fft.ifft(y, axis=0)[:L0], axis=1)[:, :L1]
-        return np.fft.ifft(y, axis=2).reshape(-1)[self._cells]
+        return np.fft.ifft(y, axis=2).reshape(-1, *cols)[self._cells]
 
 
-def build_generator(ensemble: Ensemble, kernel: str, gamma: float = 1.0,
-                    dense: bool = False) -> GeneratorMatrix | LatticeGenerator:
+def build_generator(ensemble: Ensemble, kernel: str,
+                    gamma: float = 1.0) -> GeneratorMatrix | LatticeGenerator:
     """Fock generator of the ``sine`` or ``exp`` kernel: a :class:`LatticeGenerator` for a
-    lattice of N >= ``FFT_MIN_N`` atoms whose padded grid holds at most N^2 cells (unless
-    ``dense``), else the dense :class:`GeneratorMatrix`."""
+    lattice of N >= ``FFT_MIN_N`` atoms whose padded grid holds at most N^2 cells, else the
+    dense :class:`GeneratorMatrix`."""
     n, lattice = ensemble.n, ensemble.lattice
-    if not dense and n >= FFT_MIN_N and lattice is not None and \
-            math.prod(_padded_grid(lattice)) <= n * n:
+    if n >= FFT_MIN_N and lattice is not None and _padded_grid(lattice, n * n) is not None:
         return LatticeGenerator(ensemble, kernel, gamma)
-    return GeneratorMatrix(_kernel_matrix(ensemble, kernel, gamma), FOCK, _finite=True)
+    return GeneratorMatrix(fock_matrix(ensemble, kernel, gamma), FOCK, _finite=True)
 
 
 def transform_generator(transform: TDTransform,
@@ -280,7 +287,7 @@ def assemble_td_direct(ensemble: Ensemble, kernel: str, gamma: float = 1.0) -> G
     matrix.  Serves as the independent cross-check of
     :func:`transform_generator`.
     """
-    kappa = _kernel_matrix(ensemble, kernel, gamma)
+    kappa = fock_matrix(ensemble, kernel, gamma)
     timed = np.exp(-1j * ensemble.Kvec) * kappa
     W = ladder_weights(ensemble.n)
     return GeneratorMatrix(W @ timed @ W.T, TD)

@@ -308,7 +308,8 @@ class TestLatticeAssembly:
         monkeypatch.setattr(Ensemble, "K", property(no_K))
         for e in (fig4_sphere, line300, build_line(1)):
             for kernel in KERNELS:
-                assert build_generator(e, kernel).n == e.n
+                assert build_generator(e, kernel).n == e.n  # fig4: the FFT operator
+                assert kernels.fock_matrix(e, kernel).shape == (e.n, e.n)  # the dense M
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("name", ["fig4_sphere", "stiff_line"])
@@ -317,7 +318,7 @@ class TestLatticeAssembly:
         itemsize = np.dtype(DTYPES[kernel]).itemsize
         tracemalloc.start()
         try:
-            build_generator(e, kernel)
+            kernels.fock_matrix(e, kernel)  # the dense M (fig4 runs get the FFT operator)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -326,6 +327,21 @@ class TestLatticeAssembly:
         block = 2 * 8 * max(BLOCK_KEYS, e.n)
         table = (itemsize + 24) * (3 * int(np.ptp(e.lattice, axis=0).max()) ** 2 + 1)
         assert peak <= itemsize * e.n ** 2 + block + table + 2 ** 18
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_the_fft_operator_peaks_at_a_few_kernel_grids(self, kernel, fig4_sphere):
+        e = fig4_sphere
+        tracemalloc.start()
+        try:
+            op = build_generator(e, kernel)
+            op @ np.ones(e.n, dtype=complex)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the kernel grid, its distances and transform, and the product's boxes: 4-5 complex
+        # grids of 25^3 cells, about 1 MB against M's 8 or 16 MB
+        assert isinstance(op, kernels.LatticeGenerator)
+        assert peak <= 6 * 16 * op._khat.size + 2 ** 16
 
     def test_sparse_lattice_takes_the_K_path(self):
         # squared offsets up to about 2 * 10^6: a table far past N^2 = 9 entries

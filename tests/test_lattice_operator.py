@@ -59,6 +59,8 @@ def test_the_operator_is_the_dense_generator(ensemble, kernel, gamma, seed):
     x = rng.normal(size=ensemble.n) + 1j * rng.normal(size=ensemble.n)
     err = np.abs(op @ x - M @ x).max()
     assert err <= 1e-13 * np.linalg.norm(M, 1) * np.linalg.norm(x)
+    X = rng.normal(size=(ensemble.n, 3)) + 1j * rng.normal(size=(ensemble.n, 3))
+    assert np.abs(op @ X - M @ X).max() <= 1e-13 * np.linalg.norm(M, 1) * np.linalg.norm(X)
 
 
 def test_build_generator_takes_the_operator_by_the_rule(monkeypatch):
@@ -66,8 +68,14 @@ def test_build_generator_takes_the_operator_by_the_rule(monkeypatch):
     line = build_line(kernels.FFT_MIN_N)
     for e in (fig4, line):
         assert isinstance(build_generator(e, "exp"), LatticeGenerator)
-        assert isinstance(build_generator(e, "exp", dense=True), GeneratorMatrix)
     assert isinstance(build_generator(build_line(kernels.FFT_MIN_N - 1), "exp"), GeneratorMatrix)
+    # one atom 50 000 cells down the line: a grid of 101 250 cells, within N^2; off the
+    # line, 100 001^2 cells before rounding, past it
+    for cell, form in (([50_000, 0, 0], LatticeGenerator), ([50_000, 50_000, 0], GeneratorMatrix)):
+        far = np.vstack([line.lattice, [cell]])
+        e = Ensemble(positions=line.spacing * far, k0_vec=line.k0_vec, lattice=far,
+                     spacing=line.spacing)
+        assert isinstance(build_generator(e, "exp"), form)
     cloud = Ensemble(positions=line.positions, k0_vec=line.k0_vec)  # no lattice: K
     assert isinstance(build_generator(cloud, "sine"), GeneratorMatrix)
     monkeypatch.setattr(kernels, "FFT_MIN_N", 3)
@@ -80,6 +88,33 @@ def test_build_generator_takes_the_operator_by_the_rule(monkeypatch):
                                ("exp", np.inf, "must be finite")):
         with pytest.raises(ValueError, match=err):
             build_generator(line, kernel, gamma)
+
+
+def test_the_grid_is_the_next_smooth_size():
+    def smooth(n):
+        for f in (2, 3, 5):
+            while n % f == 0:
+                n //= f
+        return n == 1
+
+    for n in [*range(1, 2000), 100_001]:
+        size = kernels._fft_size(n)
+        assert size >= n and smooth(size) and not any(map(smooth, range(n, size)))
+    assert kernels._fft_size(100_001) == 101_250
+
+
+def test_a_line_too_long_for_a_dense_generator_runs_by_fft():
+    e = build_line(50_001, 0.37)  # M would take 40 GB
+    op = build_generator(e, "exp")
+    assert isinstance(op, LatticeGenerator) and op._khat.shape == (101_250, 1, 1)
+    x = np.zeros(e.n, dtype=complex)
+    x[-1] = 1.0
+    y = op @ x  # column N - 1 of M: the kernel at each atom's lattice distance to the last
+    dist = np.abs(e.lattice[:, 0] - e.lattice[-1, 0]) * (e.k0 * e.spacing)
+    ref = np.empty(e.n, dtype=complex)
+    kernels._fill_kernel(ref, dist, "exp", 1.0)
+    ref[dist == 0] = -1.0
+    assert np.abs(y - ref).max() <= 1e-13 * np.abs(ref).sum()
 
 
 @pytest.fixture
@@ -121,15 +156,15 @@ def test_every_route_takes_the_operator_and_reads_its_dense_form_once(monkeypatc
     monkeypatch.setattr(kernels, "FFT_MIN_N", 50)
     e = build_sphere_lattice(2.5, 1.0, target_count=60)
     op, beta0 = build_generator(e, kernel), plus_state(e)
-    dense = build_generator(e, kernel, dense=True)
+    dense = GeneratorMatrix(op.matrix, "fock")
     assert isinstance(op, LatticeGenerator)
     assembled = []
 
-    def counted(*args, _assemble=kernels._kernel_matrix):
+    def counted(*args, _assemble=kernels.fock_matrix):
         assembled.append(args)
         return _assemble(*args)
 
-    monkeypatch.setattr(kernels, "_kernel_matrix", counted)
+    monkeypatch.setattr(kernels, "fock_matrix", counted)
     krylov = propagate(op, beta0, 0.01, 2.0, 1, "krylov")
     assert not assembled
     eigen = propagate(op, beta0, 0.01, 2.0, 1, "eigen")
