@@ -15,6 +15,7 @@ reproduces the run bit for bit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -26,10 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import blas_threads
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
 from .dynamics import SOLVERS, Trajectory, propagate_factored, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
-from .kernels import KERNELS, build_generator, fock_matrix, real_symmetric
+from .kernels import KERNELS, LatticeGenerator, build_generator, fock_matrix, real_symmetric
 from .observables import ObservableSeries, populations
 
 __all__ = [
@@ -369,20 +371,24 @@ def simulate(config: RunConfig | tuple, generator=None) -> RunResult:
     config, ensemble, tracked, init = config if isinstance(config, tuple) else _prepare(config)
     if generator is None:
         generator = build_generator(ensemble, config.kernel, config.gamma)
-    run = propagate_factored(generator, init, config.dt, config.t_max, config.stride,
-                             config.solver)  # reduced block by block: no T x N trajectory
-    td_traj, columns = None, []
-    if tracked:
-        transform, k = build_transform(ensemble), max(tracked)
-        td = run.map_states(lambda x: transform.leading(x, k))
-        td_traj = Trajectory(run.times, td, TD, run.solver)
-        columns = [("pop_plus" if idx == 1 else f"pop_{idx}", series)
-                   for idx, series in populations(td_traj, tracked).items()]
-    if config.init.startswith("section:"):
-        ref = np.conj(init.amplitudes)
-        overlap = run.map_states(lambda x: x @ ref)
-        columns.append(("pop_init", ObservableSeries(run.times, np.abs(overlap) ** 2)))
-    columns.append(("total", ObservableSeries(run.times, run.norms_squared())))
+    # the FFT matvec runs on one thread, and BLAS workers left spinning by the small threaded
+    # products around it would take its core (see tdsim._blas)
+    with (blas_threads(1) if isinstance(generator, LatticeGenerator)
+          else contextlib.nullcontext()):
+        run = propagate_factored(generator, init, config.dt, config.t_max, config.stride,
+                                 config.solver)  # reduced block by block: no T x N trajectory
+        td_traj, columns = None, []
+        if tracked:
+            transform, k = build_transform(ensemble), max(tracked)
+            td = run.map_states(lambda x: transform.leading(x, k))
+            td_traj = Trajectory(run.times, td, TD, run.solver)
+            columns = [("pop_plus" if idx == 1 else f"pop_{idx}", series)
+                       for idx, series in populations(td_traj, tracked).items()]
+        if config.init.startswith("section:"):
+            ref = np.conj(init.amplitudes)
+            overlap = run.map_states(lambda x: x @ ref)
+            columns.append(("pop_init", ObservableSeries(run.times, np.abs(overlap) ** 2)))
+        columns.append(("total", ObservableSeries(run.times, run.norms_squared())))
     return RunResult(config=replace(config, solver=run.solver), ensemble=ensemble,
                      times=run.times, td_trajectory=td_traj, columns=columns)
 

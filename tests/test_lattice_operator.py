@@ -1,6 +1,7 @@
 """The FFT lattice operator: its product is the dense generator's, ``build_generator``
 hands it out only where the rule says, no run at N >= ``FFT_MIN_N`` assembles an N x N
-array, and the routes that need the dense form read it once per call."""
+array, the routes that need the dense form read it once per call, and a CLI run on it
+keeps OpenBLAS on one thread."""
 
 import math
 
@@ -14,7 +15,7 @@ from tdsim import (Ensemble, GeneratorMatrix, LatticeGenerator, build_generator,
                    build_sphere_lattice, build_transform, eigen_solve, oracle_expm,
                    partition_sections, plus_state, propagate, rk4_propagate,
                    transform_generator)
-from tdsim import kernels
+from tdsim import _blas, kernels
 from tdsim.cli import main
 
 LAMBDA0 = 2 * math.pi
@@ -183,3 +184,39 @@ def test_every_route_takes_the_operator_and_reads_its_dense_form_once(monkeypatc
     assert np.array_equal(eigen_solve(op, beta0, [0.0, 2.0]).amplitudes,
                           eigen_solve(dense, beta0, [0.0, 2.0]).amplitudes)
     assert len(assembled) == 5
+
+
+@pytest.fixture
+def blas_count():
+    funcs = _blas._openblas()
+    if funcs is None:
+        pytest.skip("numpy's BLAS is not a bundled OpenBLAS")
+    return funcs[0]
+
+
+def test_blas_threads_sets_the_count_for_the_block_and_restores_it(blas_count):
+    before = blas_count()
+    with _blas.blas_threads(1):
+        assert blas_count() == 1
+    assert blas_count() == before
+    with pytest.raises(KeyError), _blas.blas_threads(1):
+        raise KeyError
+    assert blas_count() == before
+
+
+@pytest.mark.parametrize("n, threads", [(1000, 1), (200, None)])
+def test_a_run_on_the_fft_operator_keeps_blas_on_one_thread(tmp_path, monkeypatch, blas_count,
+                                                             n, threads):
+    before, seen = blas_count(), set()
+    for cls in (LatticeGenerator, GeneratorMatrix):
+        def counted(self, x, _apply=cls.__matmul__):
+            seen.add(blas_count())
+            return _apply(self, x)
+
+        monkeypatch.setattr(cls, "__matmul__", counted)
+    out = tmp_path / "run.csv"
+    assert main(["run", "--geometry", "line", "--n", str(n), "--kernel", "exp", "--t-max",
+                 "1.0", "--solver", "krylov", "--output", str(out)]) == 0
+    assert seen == {threads or before}
+    assert blas_count() == before
+
