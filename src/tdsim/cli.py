@@ -29,10 +29,10 @@ import numpy as np
 
 from ._blas import blas_threads
 from .basis import TD, AmplitudeState, build_transform, ladder_state, plus_state, section_state
-from .dynamics import SOLVERS, Trajectory, propagate_factored, step_indices
+from .dynamics import SOLVERS, Trajectory, propagate, step_indices
 from .ensemble import Ensemble, build_line, build_sphere_lattice, partition_sections
 from .kernels import KERNELS, LatticeGenerator, build_generator, fock_matrix, real_symmetric
-from .observables import ObservableSeries, populations
+from .observables import populations, state_population, total_excitation
 
 __all__ = [
     "RunConfig",
@@ -375,20 +375,18 @@ def simulate(config: RunConfig | tuple, generator=None) -> RunResult:
     # products around it would take its core (see tdsim._blas)
     with (blas_threads(1) if isinstance(generator, LatticeGenerator)
           else contextlib.nullcontext()):
-        run = propagate_factored(generator, init, config.dt, config.t_max, config.stride,
-                                 config.solver)  # reduced block by block: no T x N trajectory
+        run = propagate(generator, init, config.dt, config.t_max, config.stride,
+                        config.solver)  # reduced block by block: no T x N Fock trajectory
         td_traj, columns = None, []
         if tracked:
             transform, k = build_transform(ensemble), max(tracked)
             td = run.map_states(lambda x: transform.leading(x, k))
-            td_traj = Trajectory(run.times, td, TD, run.solver)
+            td_traj = Trajectory(run.times, ((td, None),), TD, run.solver)
             columns = [("pop_plus" if idx == 1 else f"pop_{idx}", series)
                        for idx, series in populations(td_traj, tracked).items()]
         if config.init.startswith("section:"):
-            ref = np.conj(init.amplitudes)
-            overlap = run.map_states(lambda x: x @ ref)
-            columns.append(("pop_init", ObservableSeries(run.times, np.abs(overlap) ** 2)))
-        columns.append(("total", ObservableSeries(run.times, run.norms_squared())))
+            columns.append(("pop_init", state_population(run, init)))
+        columns.append(("total", total_excitation(run)))
     return RunResult(config=replace(config, solver=run.solver), ensemble=ensemble,
                      times=run.times, td_trajectory=td_traj, columns=columns)
 

@@ -14,9 +14,10 @@ to ``KRYLOV_TOL`` or raising:
   :class:`~tdsim.kernels.LatticeGenerator` runs with no N x N array; every other route
   (and the references below) reads the generator's dense ``matrix`` once per call.
 
-:func:`propagate_factored` is the same run as a :class:`FactoredTrajectory`, blocks (Y, V)
-that a caller reduces through each Krylov basis V without forming the T x N trajectory
-that :func:`propagate` builds.  Arbitrary ``times`` go through :func:`eigen_solve` (or
+Both return a :class:`Trajectory` of blocks (Y, V): the eigen route's rows are one block,
+and each Krylov basis V holds its rows as m numbers y.  Every reduction in
+:mod:`tdsim.observables` reads the blocks, so a Krylov run forms no T x N array unless its
+``amplitudes`` are asked for.  Arbitrary ``times`` go through :func:`eigen_solve` (or
 :func:`oracle_expm`, one ``t`` at a time).
 
 Two references only cross-check them, and no run goes through either:
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +39,8 @@ from .kernels import GeneratorMatrix, LatticeGenerator, apply_matrix, real_symme
 
 __all__ = [
     "Trajectory",
-    "FactoredTrajectory",
     "EigenSolution",
     "propagate",
-    "propagate_factored",
     "DegenerateSpectrumError",
     "rk4_propagate",
     "eigen_decompose",
@@ -66,44 +66,35 @@ class DegenerateSpectrumError(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid plus amplitude snapshots, row t -> beta(t)."""
+    """Time grid plus the states at it as blocks ``(Y, V)`` of consecutive rows, in order: a
+    block's states are ``Y @ V``, its T_b x m rows in a Krylov basis V (m x N), or ``Y``
+    itself where V is None.  Reductions read the blocks; ``amplitudes`` forms the T x N rows."""
 
     times: np.ndarray
-    amplitudes: np.ndarray
+    blocks: tuple
     basis: str
     solver: str = "unknown"
 
     def __post_init__(self):
         t = _time_grid(self.times)
-        a = np.asarray(self.amplitudes, dtype=complex)
-        if np.ndim(self.times) != 1 or a.ndim != 2 or a.shape[0] != t.shape[0]:
+        if np.ndim(self.times) != 1 or sum(len(Y) for Y, _ in self.blocks) != t.size:
             raise ValueError("times and amplitude snapshots must align")
-        if not np.all(np.isfinite(a)):
+        if not all(np.isfinite(Y).all() for Y, _ in self.blocks):  # V is not scanned
             raise ValueError("trajectory snapshots must be finite")
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "amplitudes", a)
 
     @property
     def n(self) -> int:
-        return self.amplitudes.shape[1]
+        Y, V = self.blocks[0]
+        return (Y if V is None else V).shape[1]
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The T x N states, row t -> beta(t)."""
+        return self.map_states(lambda x: x)
 
     def state(self, i: int) -> AmplitudeState:
         return AmplitudeState(self.amplitudes[i], self.basis)
-
-
-@dataclass(frozen=True)
-class FactoredTrajectory:
-    """A trajectory as blocks ``(Y, V)`` of consecutive grid rows, in order: a block's states
-    are ``Y @ V``, its T_b x m rows in a Krylov basis V (m x N), or ``Y`` itself where V is
-    None.  Reductions read the blocks; :meth:`built` forms the T x N trajectory."""
-
-    times: np.ndarray
-    blocks: tuple
-    basis: str
-    solver: str
-
-    def built(self) -> Trajectory:
-        return Trajectory(self.times, self.map_states(lambda x: x), self.basis, self.solver)
 
     def map_states(self, linear) -> np.ndarray:
         """``linear`` (a map acting row by row) of every state; on a Krylov block it acts
@@ -185,15 +176,9 @@ def step_indices(dt: float, t_max: float, stride: int = 1) -> np.ndarray:
 
 def propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
               stride: int = 1, solver: str = "auto") -> Trajectory:
-    """beta(t) every ``stride`` steps of ``dt`` up to ``t_max`` by ``solver``
-    (one of ``SOLVERS``); the trajectory's ``solver`` names the method."""
-    return propagate_factored(generator, state0, dt, t_max, stride, solver).built()
-
-
-def propagate_factored(generator, state0, dt: float = 0.01, t_max: float = 10.0,
-                       stride: int = 1, solver: str = "auto") -> FactoredTrajectory:
-    """:func:`propagate`'s run, unbuilt: the eigen route's trajectory is one block, and each
-    Krylov basis (after the row of beta(0)) another."""
+    """beta(t) every ``stride`` steps of ``dt`` up to ``t_max`` by ``solver`` (one of
+    ``SOLVERS``); the trajectory's ``solver`` names the method.  The eigen route's rows are
+    one block, and each Krylov basis (after the row of beta(0)) another."""
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {list(SOLVERS)}, got {solver!r}")
     generator, state0 = _resolve(generator, state0)
@@ -202,8 +187,7 @@ def propagate_factored(generator, state0, dt: float = 0.01, t_max: float = 10.0,
     steps = step_indices(dt, t_max, stride)
     if solver == "krylov":
         return _krylov(generator, state0, steps, dt)
-    traj = eigen_solve(generator, state0, steps * dt)
-    return FactoredTrajectory(traj.times, ((traj.amplitudes, None),), traj.basis, traj.solver)
+    return eigen_solve(generator, state0, steps * dt)
 
 
 def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
@@ -222,10 +206,10 @@ def rk4_propagate(generator, state0, dt: float = 0.01, t_max: float = 10.0,
             k4 = apply_matrix(matrix, beta + dt * k3)
             beta = beta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[row] = beta
-    return Trajectory(times=keep * dt, amplitudes=out, basis=generator.basis, solver="rk4")
+    return Trajectory(keep * dt, ((out, None),), generator.basis, "rk4")
 
 
-def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
+def _krylov(generator, state0, steps, dt) -> Trajectory:
     """Arnoldi bases (two Gram-Schmidt passes) of at most ``KRYLOV_MAX_DIM`` vectors over the
     grid ``steps * dt`` (``steps`` from :func:`step_indices`).  A basis V of beta(t0) grows
     until every later row passes Saad's (1992) a posteriori estimate,
@@ -233,8 +217,7 @@ def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
     (beta = y_k V) come from :func:`_stepped_rows`, one run per stretch of equal step gaps.
     It keeps the rows before the first that fails and the next basis restarts from the last
     (as in Expokit); a capped basis that passes no row halves its first step until one passes.
-    The generator enters only through ``generator @ v``."""
-    generator, state0 = _resolve(generator, state0)
+    The generator enters only through ``generator @ v``; both inputs come resolved."""
     beta = state0.amplitudes
     t = steps * dt
     tol = KRYLOV_TOL * np.linalg.norm(beta)
@@ -280,7 +263,7 @@ def _krylov(generator, state0, steps, dt) -> FactoredTrajectory:
         blocks.append((Y, V[:m].copy()) if len(Y) >= m else (Y @ V[:m], None))
         row += len(Y)
         t0 = t[row - 1]
-    return FactoredTrajectory(t, tuple(blocks), generator.basis, "krylov")
+    return Trajectory(t, tuple(blocks), generator.basis, "krylov")
 
 
 def _stepped_rows(H, scale, steps, residual, tol) -> np.ndarray:
@@ -345,7 +328,7 @@ def eigen_solve(generator, state0, times) -> Trajectory:
     phases = np.exp(np.outer(sol.eigenvalues, t))
     amp = apply_matrix(sol.eigenvectors, sol.coefficients[:, None] * phases).T
     amp[0] = state0.amplitudes
-    return Trajectory(times=t, amplitudes=amp, basis=generator.basis, solver="eigen")
+    return Trajectory(t, ((amp, None),), generator.basis, "eigen")
 
 
 def oracle_expm(generator, state0, t: float) -> AmplitudeState:

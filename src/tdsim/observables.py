@@ -3,7 +3,9 @@
 Populations of TD basis states are |beta_m(t)|^2 on a TD-basis trajectory;
 TD indices are 1-based with index 1 the symmetric state |+> and index m
 the ladder state |m>.  Arbitrary reference states (e.g. section states)
-get their survival probability through :func:`state_population`.
+get their survival probability through :func:`state_population`.  Every
+reduction reads a trajectory through its blocks (``map_states``,
+``norms_squared``), so none forms the T x N states of a Krylov run.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def populations(traj: Trajectory, indices) -> dict[int, ObservableSeries]:
     out = {}
     for index in indices:
         _check_td_index(traj, index)
-        vals = np.abs(traj.amplitudes[:, index - 1]) ** 2
+        vals = np.abs(traj.map_states(lambda x: x[:, index - 1])) ** 2
         out[index] = ObservableSeries(traj.times, vals)
     return out
 
@@ -69,14 +71,13 @@ def state_population(traj: Trajectory, ref: AmplitudeState) -> ObservableSeries:
         )
     if ref.n != traj.n:
         raise ValueError("reference state dimension does not match trajectory")
-    overlaps = traj.amplitudes @ np.conj(ref.amplitudes)
+    overlaps = traj.map_states(lambda x: x @ np.conj(ref.amplitudes))
     return ObservableSeries(traj.times, np.abs(overlaps) ** 2)
 
 
 def total_excitation(traj: Trajectory) -> ObservableSeries:
     """Total probability sum_j |beta_j(t)|^2 that the sample stays excited."""
-    vals = np.sum(np.abs(traj.amplitudes) ** 2, axis=1)
-    return ObservableSeries(traj.times, vals)
+    return ObservableSeries(traj.times, traj.norms_squared())
 
 
 def fa_transfer(traj: Trajectory, source: int, target: int) -> ObservableSeries:
@@ -85,7 +86,7 @@ def fa_transfer(traj: Trajectory, source: int, target: int) -> ObservableSeries:
         raise ValueError("fa_transfer requires a td-basis trajectory")
     _check_td_index(traj, source)
     _check_td_index(traj, target)
-    p0 = abs(traj.amplitudes[0, source - 1]) ** 2
+    p0 = populations(traj, [source])[source].values[0]
     if p0 < 1.0 - PURE_START_TOL:
         raise ValueError(
             f"trajectory does not start in the pure source state, TD index "

@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tdsim import (Ensemble, TDTransform, build_generator, build_sphere_lattice, build_transform,
-                   plus_state, propagate)
+from tdsim import (Ensemble, TDTransform, Trajectory, build_generator, build_sphere_lattice,
+                   build_transform, plus_state, propagate)
 from tdsim.cli import (
     ConfigError,
     PRESETS,
@@ -344,6 +344,23 @@ class TestRunPipeline:
         assert np.array_equal(lead[:, 1:], full[:, 1:3])
         assert np.abs(lead[:, 0] - full[:, 0]).max() < 1e-14
         assert np.abs(td.amplitudes - full[:, :3]).max() < 1e-14
+
+    @pytest.mark.parametrize("argv", [
+        ["--geometry", "line", "--n", "200", "--kernel", "exp", "--sections", "2",
+         "--init", "section:2", "--tracked", "plus,2,3", "--t-max", "1.0"],
+        ["--preset", "fig1a"]], ids=["krylov", "eigen"])
+    def test_runs_form_no_fock_trajectory(self, tmp_path, monkeypatch, argv):
+        assert main(["run", *argv, "--output", str(tmp_path / "plain.csv")]) == 0
+        amplitudes = Trajectory.amplitudes
+
+        def guarded(traj):
+            if traj.basis == "fock":
+                raise AssertionError("the run formed its T x N Fock trajectory")
+            return amplitudes.func(traj)
+
+        monkeypatch.setattr(Trajectory, "amplitudes", property(guarded))
+        assert main(["run", *argv, "--output", str(tmp_path / "guarded.csv")]) == 0
+        assert (tmp_path / "guarded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_render_csv_matches_the_per_value_rendering(self):
         def reference(result):  # one _fmt call per number, row by row

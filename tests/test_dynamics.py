@@ -443,15 +443,17 @@ class TestTrajectoryType:
         assert peak < 2 ** 20
 
     def test_invariants_enforced(self):
-        good = Trajectory(times=np.array([0.0, 1.0]),
-                          amplitudes=np.zeros((2, 3), dtype=complex), basis="fock")
+        amps = np.zeros((2, 3), dtype=complex)
+        good = Trajectory(np.array([0.0, 1.0]), ((amps, None),), "fock")
         assert good.n == 3
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.5, 1.0]),
-                       amplitudes=np.zeros((2, 3), dtype=complex), basis="fock")
+            Trajectory(np.array([0.5, 1.0]), ((amps, None),), "fock")
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]),
-                       amplitudes=np.zeros((2, 3), dtype=complex), basis="fock")
+            Trajectory(np.array([0.0, 0.0]), ((amps, None),), "fock")
+        with pytest.raises(ValueError, match="align"):  # 2 + 2 rows on a grid of 3
+            Trajectory(np.array([0.0, 1.0, 2.0]), ((amps, None), (amps, None)), "fock")
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array([0.0, 1.0]), ((np.full((2, 3), np.nan), None),), "fock")
 
     def test_state_accessor(self):
         traj = rk4_propagate(np.array([[-1.0]]), np.array([1.0]), dt=0.5, t_max=1.0)
