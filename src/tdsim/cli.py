@@ -7,9 +7,10 @@ Subcommands:
 * ``presets``  -- list the built-in scenario presets.
 
 Configs resolve in the order defaults < preset < config file < flags.
-Every emitted CSV starts with ``# key = value`` lines echoing the fully
-resolved config; stripping the ``# `` prefix yields a config file that
-reproduces the run bit for bit.
+Every CSV goes through one writer, and starts with ``# key = value`` lines
+echoing the fully resolved config; stripping the ``# `` prefix yields a config
+file that reproduces the table bit for bit.  A Python caller writes a run as
+``Path(out).write_text(render_csv(simulate(config)))``.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "simulate",
     "simulate_runs",
     "render_csv",
-    "run",
-    "spectrum",
     "main",
 ]
 
@@ -433,21 +432,19 @@ def _echo_items(config: RunConfig, keys=None) -> list[tuple[str, str]]:
     return items
 
 
-def render_csv(result: RunResult) -> str:
-    lines = [f"# {k} = {v}" for k, v in _echo_items(result.config)]
-    lines.append(",".join(["t"] + [name for name, _ in result.columns]))
-    # one float64 table; repr of its Python floats is _fmt of each value
-    table = np.column_stack([result.times] + [s.values for _, s in result.columns])
-    lines += [",".join(map(repr, row)) for row in table.tolist()]
+def _csv(echo_items, names, rows) -> str:
+    """Every CSV's text: the ``# key = value`` echo, the column names, then each row as the
+    comma-joined ``repr`` of its Python numbers (of a float, that is its ``_fmt``)."""
+    lines = [f"# {k} = {v}" for k, v in echo_items]
+    lines.append(",".join(names))
+    lines += [",".join(map(repr, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig, out_path) -> Path:
-    """Execute one run and write its CSV to ``out_path``; returns the path."""
-    result = simulate(config)
-    path = Path(out_path)
-    path.write_text(render_csv(result), encoding="utf-8")
-    return path
+def render_csv(result: RunResult) -> str:
+    table = np.column_stack([result.times] + [s.values for _, s in result.columns])
+    return _csv(_echo_items(result.config), ["t"] + [name for name, _ in result.columns],
+                table.tolist())
 
 
 def spectrum_eigenvalues(config: RunConfig) -> np.ndarray:
@@ -466,18 +463,10 @@ def _spectrum_tables(configs) -> Iterator[str]:
     """The eigenvalue CSV of each config; consecutive configs with one generator share it."""
     for _, group in groupby(configs, _generator_key):
         group = list(group)
-        lines = [f"# {k} = {v}" for k, v in _echo_items(group[0], ["kernel", "gamma"])]
-        lines.append("index,real,imag")
-        for i, value in enumerate(spectrum_eigenvalues(group[0])):
-            lines.append(f"{i},{_fmt(value.real)},{_fmt(value.imag)}")
-        yield from ["\n".join(lines) + "\n"] * len(group)
-
-
-def spectrum(config: RunConfig, out_path) -> Path:
-    """Write the TD-generator eigenvalue table as CSV to ``out_path``."""
-    path = Path(out_path)
-    path.write_text(next(_spectrum_tables([config])), encoding="utf-8")
-    return path
+        eig = spectrum_eigenvalues(group[0])
+        text = _csv(_echo_items(group[0], ["kernel", "gamma"]), ["index", "real", "imag"],
+                    zip(range(eig.size), eig.real.tolist(), eig.imag.tolist()))
+        yield from [text] * len(group)
 
 
 # ---------------------------------------------------------------------------

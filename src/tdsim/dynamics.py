@@ -94,7 +94,12 @@ class Trajectory:
         return self.map_states(lambda x: x)
 
     def state(self, i: int) -> AmplitudeState:
-        return AmplitudeState(self.amplitudes[i], self.basis)
+        """beta at ``times[i]``, from the one block that holds it (no T x N rows formed)."""
+        i = range(self.times.size)[i]  # negative i counts from the end; out of range raises
+        for Y, V in self.blocks:
+            if i < len(Y):
+                return AmplitudeState(Y[i] if V is None else Y[i] @ V, self.basis)
+            i -= len(Y)
 
     def map_states(self, linear) -> np.ndarray:
         """``linear`` (a map acting row by row) of every state; on a Krylov block it acts

@@ -25,10 +25,8 @@ from tdsim.cli import (
     read_config_file,
     render_csv,
     resolve_configs,
-    run,
     simulate,
     simulate_runs,
-    spectrum,
     spectrum_eigenvalues,
 )
 from tdsim.dynamics import KRYLOV_MAX_DIM
@@ -40,9 +38,9 @@ SMALL_FIG4_FLAGS = ["--preset", "fig4", "--target-count", "60", "--t-max", "1.0"
                     "--solver", "krylov"]
 
 
-def read_rows(path):
+def read_rows(text):
     meta, header, rows = {}, None, []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         if line.startswith("# "):
             key, _, value = line[2:].partition(" = ")
             meta[key] = value
@@ -225,10 +223,9 @@ class TestParseConfig:
 
 
 class TestRunPipeline:
-    def test_csv_columns_and_values(self, tmp_path):
+    def test_csv_columns_and_values(self):
         [(_, config)] = parse_config(dict(QUICK))
-        path = run(config, tmp_path / "out.csv")
-        meta, header, rows = read_rows(path)
+        meta, header, rows = read_rows(render_csv(simulate(config)))
         assert header == ["t", "pop_plus", "pop_2", "total"]
         assert rows[0][0] == 0.0
         assert abs(rows[0][1] - 1.0) < 1e-12  # starts in |+>
@@ -237,56 +234,55 @@ class TestRunPipeline:
         assert meta["solver"] == "eigen"
         assert meta["geometry"] == "line"
 
-    def test_section_init_adds_pop_init(self, tmp_path):
+    def test_section_init_adds_pop_init(self):
         [(_, config)] = parse_config(
             {"geometry": "line", "n": "6", "sections": "2", "init": "section:2",
              "t_max": "1.0", "tracked": "none"}
         )
-        path = run(config, tmp_path / "out.csv")
-        _, header, rows = read_rows(path)
+        _, header, rows = read_rows(render_csv(simulate(config)))
         assert header == ["t", "pop_init", "total"]
         assert abs(rows[0][1] - 1.0) < 1e-12
 
     def test_echo_reproduces_file_bit_exactly(self, tmp_path):
         [(_, config)] = parse_config(dict(QUICK))
-        first = run(config, tmp_path / "a.csv")
-        echo_lines = [l[2:] for l in first.read_text().splitlines() if l.startswith("# ")]
+        first = render_csv(simulate(config))
+        echo_lines = [l[2:] for l in first.splitlines() if l.startswith("# ")]
         cfg = tmp_path / "echo.cfg"
         cfg.write_text("\n".join(echo_lines) + "\n")
         [(_, config2)] = parse_config({}, file=cfg)
-        second = run(config2, tmp_path / "b.csv")
-        assert first.read_bytes() == second.read_bytes()
+        second = render_csv(simulate(config2))
+        assert first == second
 
-    def test_repeat_runs_bit_identical(self, tmp_path):
+    def test_repeat_runs_bit_identical(self):
         [(_, config)] = parse_config(dict(QUICK))
-        a = run(config, tmp_path / "a.csv")
-        b = run(config, tmp_path / "b.csv")
-        assert a.read_bytes() == b.read_bytes()
+        a = render_csv(simulate(config))
+        b = render_csv(simulate(config))
+        assert a == b
 
-    def test_csv_floats_round_trip_exactly(self, tmp_path):
+    def test_csv_floats_round_trip_exactly(self):
         [(_, config)] = parse_config(dict(QUICK))
         result = simulate(config)
-        _, header, rows = read_rows(run(config, tmp_path / "out.csv"))
+        _, header, rows = read_rows(render_csv(simulate(config)))
         for j, (name, series) in enumerate(result.columns, start=1):
             assert rows[:, j].tolist() == series.values.tolist()
         assert rows[:, 0].tolist() == result.times.tolist()
 
-    def test_krylov_and_eigen_solvers_agree_in_csv(self, tmp_path):
+    def test_krylov_and_eigen_solvers_agree_in_csv(self):
         base = dict(QUICK)
         [(_, c_eig)] = parse_config({**base, "solver": "eigen"})
         [(_, c_kry)] = parse_config({**base, "solver": "krylov"})
-        _, _, rows_e = read_rows(run(c_eig, tmp_path / "e.csv"))
-        _, _, rows_k = read_rows(run(c_kry, tmp_path / "k.csv"))
+        _, _, rows_e = read_rows(render_csv(simulate(c_eig)))
+        _, _, rows_k = read_rows(render_csv(simulate(c_kry)))
         assert np.abs(rows_e - rows_k).max() < 1e-8
 
-    def test_stride_thins_output(self, tmp_path):
+    def test_stride_thins_output(self):
         [(_, config)] = parse_config({**QUICK, "stride": "10"})
-        _, _, rows = read_rows(run(config, tmp_path / "out.csv"))
+        _, _, rows = read_rows(render_csv(simulate(config)))
         assert rows.shape[0] == 11
 
-    def test_tracked_all(self, tmp_path):
+    def test_tracked_all(self):
         [(_, config)] = parse_config({**QUICK, "tracked": "all"})
-        _, header, _ = read_rows(run(config, tmp_path / "out.csv"))
+        _, header, _ = read_rows(render_csv(simulate(config)))
         assert header == ["t", "pop_plus", "pop_2", "pop_3", "pop_4", "total"]
 
     def test_tracked_out_of_range(self, tmp_path):
@@ -394,11 +390,25 @@ class TestRunPipeline:
 
 class TestSpectrum:
     def test_single_atom_row(self, tmp_path):
-        [(_, config)] = parse_config({"geometry": "line", "n": "1"})
-        path = spectrum(config, tmp_path / "spec.csv")
+        path = tmp_path / "spec.csv"
+        assert main(["spectrum", "--geometry", "line", "--n", "1", "--output", str(path)]) == 0
         lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "index,real,imag"
         assert lines[1] == "0,-1.0,0.0"
+
+    @pytest.mark.parametrize("kernel", ["sine", "exp"])
+    def test_spectrum_csv_matches_the_per_value_rendering(self, tmp_path, kernel):
+        [(_, config)] = resolve_configs("fig2", flag_pairs={"kernel": kernel})
+        eig = spectrum_eigenvalues(config)
+        lines = [f"# {k} = {v}" for k, v in _echo_items(config, ["kernel", "gamma"])]
+        lines.append("index,real,imag")
+        lines += [f"{i},{_fmt(v.real)},{_fmt(v.imag)}" for i, v in enumerate(eig)]
+        out = tmp_path / "s.csv"
+        assert main(["spectrum", "--preset", "fig2", "--kernel", kernel,
+                     "--output", str(out)]) == 0
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+        if kernel == "exp":  # rows of both signs of the imaginary part
+            assert eig.imag.min() < 0 < eig.imag.max()
 
     def test_two_atom_analytic_eigenvalues(self):
         # K = pi/2 line: eigenvalues -gamma (1 +/- 2/pi)
@@ -418,9 +428,9 @@ class TestSpectrum:
         assert eig.real.min() > -n - 1e-8
 
     def test_sine_spectrum_is_exactly_real(self, tmp_path):
-        [(_, config)] = parse_config({"geometry": "sphere", "radius": "3.0",
-                                      "target_count": "121"})
-        path = spectrum(config, tmp_path / "spec.csv")
+        path = tmp_path / "spec.csv"
+        assert main(["spectrum", "--geometry", "sphere", "--radius", "3.0",
+                     "--target-count", "121", "--output", str(path)]) == 0
         rows = [l.split(",") for l in path.read_text().splitlines()
                 if not l.startswith("#")][1:]
         assert len(rows) == 121
@@ -620,7 +630,7 @@ class TestMainEntry:
         for solver in ("auto", "eigen"):
             out = tmp_path / f"{solver}.csv"
             assert main([*argv, "--solver", solver, "--output", str(out)]) == 0
-            meta, header, rows[solver] = read_rows(out)
+            meta, header, rows[solver] = read_rows(out.read_text())
             assert meta["solver"] == ("krylov" if solver == "auto" else "eigen")
         assert rows["auto"].shape == rows["eigen"].shape == (1001, len(header))
         assert np.abs(rows["auto"] - rows["eigen"]).max() <= 1e-10
@@ -754,9 +764,13 @@ class TestGroupedRuns:
         argv = ["spectrum", "--preset", "fig4", "--target-count", "60"]
         assert main([*argv, "--output", str(tmp_path / "s.csv")]) == 0
         assert counted["eigenvalues"] == 2
-        for suffix, config in resolve_configs("fig4", flag_pairs={"target_count": 60}):
-            alone = spectrum(config, tmp_path / "alone.csv").read_text()
-            assert (tmp_path / f"s_{suffix}.csv").read_text() == alone
+        for suffix, _ in resolve_configs("fig4", flag_pairs={"target_count": 60}):
+            member = (tmp_path / f"s_{suffix}.csv").read_text()
+            echo = [l[2:] for l in member.splitlines() if l.startswith("# ")]
+            (tmp_path / "echo.cfg").write_text("\n".join(echo) + "\n")  # re-run from its echo
+            assert main(["spectrum", "--config", str(tmp_path / "echo.cfg"),
+                         "--output", str(tmp_path / "alone.csv")]) == 0
+            assert (tmp_path / "alone.csv").read_text() == member
 
     def test_a_bad_member_fails_before_any_generator(self, tmp_path, capsys, no_generator):
         # two atoms hold fig4's two sections but not its three

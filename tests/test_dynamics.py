@@ -460,3 +460,25 @@ class TestTrajectoryType:
         st = traj.state(0)
         assert isinstance(st, AmplitudeState)
         assert st.amplitudes[0] == 1.0
+
+    @pytest.mark.parametrize("solver", ["krylov", "eigen"])
+    def test_state_reads_its_row_from_its_block(self, solver):
+        e = build_line(200)
+        traj = propagate(build_generator(e, "exp"), plus_state(e), t_max=2.0, solver=solver)
+        # krylov: the dense row of beta(0), then one basis V; eigen: one dense block
+        assert [V is None for _, V in traj.blocks] == ([True, False] if solver == "krylov"
+                                                       else [True])
+        last = traj.times.size - 1
+        rows = {}
+        for i in (0, last // 2, last):
+            rows[i] = traj.state(i).amplitudes
+            assert "amplitudes" not in vars(traj)  # no T x N rows formed or cached
+        assert np.array_equal(traj.state(-1).amplitudes, rows[last])
+        with pytest.raises(IndexError):
+            traj.state(last + 1)
+        for i, row in rows.items():
+            ref = traj.amplitudes[i]
+            if solver == "eigen" or i == 0:  # a dense block's row is the row itself
+                assert np.array_equal(row, ref)
+            else:  # y V against the block's Y @ V
+                assert np.linalg.norm(row - ref) <= 1e-15 * np.linalg.norm(ref)
