@@ -1,12 +1,13 @@
 """The thread count of numpy's OpenBLAS, set for the length of a ``with`` block.
 
 After a threaded product OpenBLAS's worker threads spin for a while before they sleep.
-A run whose hot loop is single-threaded numpy code (the FFT matvec of
-:class:`~tdsim.kernels.LatticeGenerator`) with small BLAS products in between leaves a
-worker spinning through every matvec, so it keeps two cores busy to use one, and where
-cores are shared its time swings with the load next to it.  On a 2-vCPU Xeon VM a
-3000-atom exp run took 34 ms per call on idle cores either way; next to a busy loop on
-one core it took 38-40 ms with one BLAS thread and 72 ms with two.
+A run whose hot loop is numpy FFT code (the matvec of
+:class:`~tdsim.kernels.LatticeGenerator`, on the calling thread and, on large grids, one
+helper thread) with small BLAS products in between leaves a worker spinning through every
+matvec, on a core the FFT could use, and where cores are shared its time swings with the
+load next to it.  On a 2-vCPU AMD EPYC VM a 3000-atom exp run, its FFT split over two
+threads, took 10.6 ms per call with one BLAS thread and 14.7 ms with two on idle cores;
+next to a busy loop on one core it took 15.4 and 24.4 ms.
 
 Where numpy's BLAS is not OpenBLAS, or its library is not found, :func:`blas_threads`
 does nothing.

@@ -370,8 +370,8 @@ def simulate(config: RunConfig | tuple, generator=None) -> RunResult:
     config, ensemble, tracked, init = config if isinstance(config, tuple) else _prepare(config)
     if generator is None:
         generator = build_generator(ensemble, config.kernel, config.gamma)
-    # the FFT matvec runs on one thread, and BLAS workers left spinning by the small threaded
-    # products around it would take its core (see tdsim._blas)
+    # BLAS workers left spinning by the small threaded products around the FFT matvec would
+    # take the cores of its threads (see tdsim._blas)
     with (blas_threads(1) if isinstance(generator, LatticeGenerator)
           else contextlib.nullcontext()):
         run = propagate(generator, init, config.dt, config.t_max, config.stride,

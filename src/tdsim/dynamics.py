@@ -274,21 +274,24 @@ def _krylov(generator, state0, steps, dt) -> Trajectory:
 def _stepped_rows(H, scale, steps, residual, tol) -> np.ndarray:
     """Rows y_k = scale e^{tau_k H} e_1 at the times of ``steps`` ((rows, step) runs), up to
     the first whose Saad estimate ``residual`` |y_{k,m}| exceeds ``tol``.  Each run takes one
-    :func:`_expm` and doubles its rows, [Y, Y F^k], in log2(rows) products."""
-    done = [np.eye(1, len(H)) * scale]
+    :func:`_expm` and doubles its rows, writing Y F^k after Y, in log2(rows) products into
+    one array, of which the rows kept are a slice."""
+    Y = np.empty((1 + sum(n for n, _ in steps), len(H)), dtype=complex)
+    Y[0] = np.eye(1, len(H)) * scale
+    end = 0  # the last row written
     for n, step in steps:
         F = _expm(step * H).T  # a row y steps to y F
-        block = done[-1][-1:]
-        while len(block) <= n:
-            new = (block @ F)[:n + 1 - len(block)]
+        start = end  # the run steps on from its first row, the last row before it
+        while end - start < n:
+            count = min(end - start + 1, n - (end - start))
+            new = np.matmul(Y[start:start + count], F, out=Y[end + 1:end + 1 + count])
             fails = residual * np.abs(new[:, -1]) > tol
             if fails.any():
-                return np.concatenate(done[1:] + [block[1:], new[:fails.argmax()]])
-            block = np.concatenate([block, new])
-            if len(block) <= n:
+                return Y[1:end + 1 + fails.argmax()]
+            end += count
+            if end - start < n:
                 F = F @ F
-        done.append(block[1:])
-    return np.concatenate(done[1:])
+    return Y[1:]
 
 
 _TAYLOR = 1.0 / np.array([math.factorial(k) for k in range(19)])  # 1/k!, k = 0..18

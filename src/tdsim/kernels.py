@@ -34,15 +34,24 @@ picked by the ensemble:
   holds at most N^2 cells): no matrix.  M x is a zero-padded convolution over the lattice
   offsets, by a pruned FFT on a 2-3-5-smooth grid of P >= 2L - 1 cells per axis of extent
   L; ``matrix`` assembles the dense form (:func:`fock_matrix`, the first two forms) on each
-  access.  A matvec, dense against FFT, took 0.30 against 0.11 ms on a 1000-atom line, 0.30
-  against 0.29 ms on fig4's sphere, 3.1 against 0.9 ms on a 3000-atom sphere, but 0.03
-  against 0.15 ms on a 400-atom sphere.
+  access.  The kernel grid is gathered from the same kind of distance table.  A product is
+  three stages of independent FFT lines.  On a grid of ``FFT_SPLIT_CELLS`` or more cells,
+  with two usable CPUs, each stage can run half its lines on one helper thread (numpy.fft
+  releases the GIL), with the same bits as on one thread; the generator times its products
+  and splits them while that is the faster way.  On a 2-vCPU AMD EPYC VM with one
+  BLAS thread, a matvec took, dense against FFT: 0.15 against 0.05 ms on a 1000-atom line,
+  0.16 against 0.14 ms on fig4's sphere (a 25^3 grid, not split), 3.3 against 0.28 ms on a
+  3000-atom sphere (36^3; 0.39 ms unsplit), but 0.03 against 0.07 ms on a 400-atom sphere.
+  A 10 000-atom sphere (54^3) took 0.77 ms split and 1.29 ms unsplit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import InitVar, dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -53,6 +62,12 @@ KERNELS = ("sine", "exp")
 # keys per row block on the lattice path (two int64 blocks of scratch, cache-sized)
 BLOCK_KEYS = 1 << 16
 FFT_MIN_N = 1000  # lattices from this N on get the FFT operator (a dense matvec wins below)
+# from this many padded grid cells on, an FFT product may split over two threads; per product
+# on a 2-vCPU AMD EPYC VM, 25^3 and 27^3 grids gained nothing, a 27 x 27 x 30 grid went from
+# 0.21 to 0.17 ms and a 36^3 one from 0.39 to 0.28 ms
+FFT_SPLIT_CELLS = 20_000
+# a generator that can split runs every FFT_SPLIT_PROBE-th product the way it timed slower
+FFT_SPLIT_PROBE = 32
 
 __all__ = [
     "GeneratorMatrix",
@@ -117,27 +132,39 @@ def _fill_kernel(out: np.ndarray, x: np.ndarray, kernel: str, gamma: float) -> n
     return out
 
 
+def _kernel_table(spans, scale: float, kernel: str, gamma: float, dtype,
+                  cap: int) -> tuple[list, np.ndarray | None]:
+    """The kernel at each lattice distance of offsets up to ``spans`` per axis, entry 0 the
+    self term -gamma, with ``scale`` = k0 * spacing; with the axes it keys: by |offset| if
+    that is one axis (a line), else by |offset|^2.  None in place of a table longer than
+    ``cap``."""
+    axes = [a for a, span in enumerate(spans) if span > 0] or [0]
+    line = len(axes) == 1
+    size = (spans[axes[0]] if line else sum(span * span for span in spans)) + 1
+    if size > cap:
+        return axes, None
+    dist = np.arange(1, size, dtype=float)  # |offset| (line) or |offset|^2, in lattice units
+    if not line:
+        np.sqrt(dist, out=dist)
+    table = np.zeros(size, dtype=dtype)  # a sine fill leaves a complex table's imaginary part
+    table[0] = -gamma
+    _fill_kernel(table[1:], np.multiply(dist, scale, out=dist), kernel, gamma)
+    return axes, table
+
+
 def _lattice_matrix(ensemble: Ensemble, kernel: str, gamma: float) -> np.ndarray | None:
     """Kernel values gathered from a table over the lattice distances; None if it is too big."""
     n, lattice = ensemble.n, ensemble.lattice
     spans = [int(col.max()) - int(col.min()) for col in lattice.T]
-    axes = [a for a, span in enumerate(spans) if span > 0] or [0]
-    line = len(axes) == 1
-    size = (spans[axes[0]] if line else sum(span * span for span in spans)) + 1
-    if size > n * n:  # no bigger than the pair matrix it replaces
+    axes, table = _kernel_table(spans, ensemble.k0 * ensemble.spacing, kernel, gamma,
+                                float if kernel == "sine" else complex, n * n)
+    if table is None:  # no bigger than the pair matrix it replaces
         return None
-    dist = np.arange(1, size, dtype=float)  # |offset| (line) or |offset|^2, in lattice units
-    if not line:
-        np.sqrt(dist, out=dist)
-    x = np.multiply(dist, ensemble.k0 * ensemble.spacing, out=dist)
-    table = np.empty(size, dtype=float if kernel == "sine" else complex)
-    table[0] = -gamma
-    _fill_kernel(table[1:], x, kernel, gamma)
     if not np.all(np.isfinite(table)):  # M is finite exactly when its table is
         raise ValueError("generator matrix must be finite")
 
     cols = [np.ascontiguousarray(lattice[:, a]) for a in axes]
-    fold = np.abs if line else np.square
+    fold = np.abs if len(axes) == 1 else np.square
     M = np.empty((n, n), dtype=table.dtype)
     key = np.empty((min(n, max(1, BLOCK_KEYS // n)), n), dtype=np.intp)
     step = np.empty_like(key) if len(cols) > 1 else None
@@ -195,6 +222,56 @@ def _padded_grid(lattice: np.ndarray, cap: float = math.inf) -> tuple | None:
     return grid if math.prod(grid) <= cap else None
 
 
+def _kernel_grid(grid: tuple, scale: float, kernel: str, gamma: float) -> np.ndarray:
+    """The kernel over the circular offsets min(i, P - i) of a padded grid, self term -gamma:
+    gathered from :func:`_kernel_table`, or evaluated on each cell where the table would
+    hold more entries than the grid has cells."""
+    axes, table = _kernel_table([P // 2 for P in grid], scale, kernel, gamma, complex,
+                                math.prod(grid))
+    power = 1 if len(axes) == 1 else 2
+    d0, d1, d2 = (np.minimum(np.arange(P), P - np.arange(P)) ** power for P in grid)
+    key = d0[:, None, None] + d1[:, None] + d2
+    if table is not None:
+        return np.take(table, key)
+    x = np.sqrt(key, dtype=float)
+    x *= scale
+    cells = _fill_kernel(np.zeros(grid, dtype=complex), x, kernel, gamma)
+    cells[0, 0, 0] = -gamma
+    return cells
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_helper = None  # the process's FFT helper: one thread, started by the first split product
+_helper_lock = threading.Lock()
+
+
+def _fft_helper():
+    """The one-thread executor that runs half of each split FFT stage."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor  # 2 ms, so not at import
+
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="tdsim-fft")
+        return _helper
+
+
+def _forget_helper():
+    """A forked child has no helper thread, whatever its parent had."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeGenerator:
     """Fock generator of a lattice ensemble, applied by a pruned FFT convolution (see the
@@ -207,6 +284,7 @@ class LatticeGenerator:
     _khat: np.ndarray = field(init=False, repr=False)  # the kernel grid's transform
     _box: tuple = field(init=False, repr=False)  # (L0, L1, P2): padded on the last axis
     _cells: np.ndarray = field(init=False, repr=False)  # each atom's flat index in the box
+    _timing: list = field(init=False, repr=False)  # latest unsplit and split seconds, count
 
     def __post_init__(self):
         _check_kernel(self.kernel, self.gamma)
@@ -214,12 +292,8 @@ class LatticeGenerator:
         if lattice is None:
             raise ValueError("LatticeGenerator needs an ensemble with a lattice")
         grid = _padded_grid(lattice)
-        # squared circular offsets min(i, P - i)^2, summed over the axes
-        d0, d1, d2 = (np.minimum(np.arange(P), P - np.arange(P)) ** 2 for P in grid)
-        x = np.sqrt(d0[:, None, None] + d1[:, None] + d2, dtype=float)
-        x *= self.ensemble.k0 * self.ensemble.spacing
-        table = _fill_kernel(np.zeros(grid, dtype=complex), x, self.kernel, self.gamma)
-        table[0, 0, 0] = -self.gamma
+        table = _kernel_grid(grid, self.ensemble.k0 * self.ensemble.spacing, self.kernel,
+                             self.gamma)
         with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite khat raises below
             khat = np.fft.fftn(table)
         if not np.all(np.isfinite(khat)):
@@ -229,6 +303,7 @@ class LatticeGenerator:
         object.__setattr__(self, "_khat", khat)
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_timing", [0.0, 0.0, 1])
 
     @property
     def n(self) -> int:
@@ -239,17 +314,52 @@ class LatticeGenerator:
         return fock_matrix(self.ensemble, self.kernel, self.gamma)
 
     def __matmul__(self, x):
-        """``M @ x`` for a vector or an (N, T) block of columns."""
-        (P0, P1, _), (L0, L1, _) = self._khat.shape, self._box
+        """``M @ x`` for a vector or an (N, T) block of columns: three stages of independent
+        FFT lines, each split over two threads where that pays (see the module docstring)."""
+        (P0, P1, P2), (L0, L1, _) = self._khat.shape, self._box
         cols = np.shape(x)[1:]  # () for a vector, (T,) for a block
         box = np.zeros(self._box + cols, dtype=complex)
         box.reshape(-1, *cols)[self._cells] = x
-        # forward over the occupied lines only: axis 2 on L0 L1 lines, then axis 1 on L0 P2
-        y = np.fft.fft(np.fft.fft(np.fft.fft(box, axis=2), n=P1, axis=1), n=P0, axis=0)
-        y *= self._khat.reshape(self._khat.shape + (1,) * len(cols))
-        # and back, keeping the box's rows of each axis before the next
-        y = np.fft.ifft(np.fft.ifft(y, axis=0)[:L0], axis=1)[:, :L1]
-        return np.fft.ifft(y, axis=2).reshape(-1, *cols)[self._cells]
+        y = np.empty((L0, P1, P2) + cols, dtype=complex)
+        columns = y.reshape(L0, P1 * P2, *cols)
+        z = np.empty((P0, P1 * P2) + cols, dtype=complex)
+        khat = self._khat.reshape(P0, P1 * P2, *(1,) * len(cols))
+
+        def forward(s):  # per axis-0 slab: axis 2 on its L1 lines, then axis 1 out to P1
+            np.fft.fft(np.fft.fft(box[s], axis=2, out=box[s]), n=P1, axis=1, out=y[s])
+
+        def convolve(s):  # per (axis 1, axis 2) column: axis 0 out to P0 and back to L0
+            np.fft.fft(columns[:, s], n=P0, axis=0, out=z[:, s])
+            z[:, s] *= khat[:, s]
+            columns[:, s] = np.fft.ifft(z[:, s], axis=0, out=z[:, s])[:L0]
+
+        def back(s):  # per axis-0 slab: axis 1 back to L1, then axis 2, into the box
+            np.fft.ifft(np.fft.ifft(y[s], axis=1, out=y[s])[:, :L1], axis=2, out=box[s])
+
+        can_split = (min(L0, P1 * P2) > 1 and self._khat.size >= FFT_SPLIT_CELLS
+                     and _usable_cpus() > 1)
+        # a split pays only while both threads get a CPU of their own that shares data with
+        # the other's cheaply (on a shared 2-vCPU VM a 36^3 product took 0.28 ms split in some
+        # periods, 0.44-0.69 ms in others, 0.39 ms unsplit), so each product runs the way
+        # whose latest product was faster (an untimed way first), and every
+        # FFT_SPLIT_PROBE-th product the other way
+        unsplit_s, split_s, count = self._timing
+        split = can_split and (split_s <= unsplit_s) != (count % FFT_SPLIT_PROBE == 0)
+        helper = _fft_helper() if split else None  # started before the clock
+        start = perf_counter()
+        for stage, lines in ((forward, L0), (convolve, P1 * P2), (back, L0)):
+            if split:  # the helper takes the second half of the lines, joined before the next
+                half = helper.submit(stage, slice(lines // 2, None))
+                try:
+                    stage(slice(lines // 2))
+                finally:
+                    half.result()
+            else:
+                stage(slice(None))
+        if can_split:  # concurrent callers may lose an update: it only moves a probe
+            self._timing[split] = perf_counter() - start
+            self._timing[2] += 1
+        return box.reshape(-1, *cols)[self._cells]
 
 
 def build_generator(ensemble: Ensemble, kernel: str,

@@ -311,6 +311,40 @@ def test_criterion_11_across_processes_and_blas_thread_counts(tmp_path):
     report(11, f"byte-identical at 2 BLAS threads; 1 vs 2 threads differ by {worst:.1e}")
 
 
+# a sphere whose 36^3 kernel grid is past FFT_SPLIT_CELLS: its FFT products split over two
+# threads where two CPUs are usable
+SPLIT_RUN = ["--geometry", "sphere", "--radius", repr(9.05 * 0.75 * 2 * math.pi),
+             "--spacing", repr(0.75 * 2 * math.pi), "--target-count", "3000", "--kernel", "exp",
+             "--t-max", "1"]
+SPLIT_CHILD = """import os, sys, threading
+from tdsim import kernels
+from tdsim.cli import main
+threads = threading.active_count()
+if sys.argv[2] == "pinned":
+    os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+code = main(["run", *{args!r}, "--output", sys.argv[1]])
+print(threads, kernels._helper is not None)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs and sched_setaffinity")
+def test_one_cpu_and_two_threads_write_the_same_bytes(tmp_path):
+    """A split FFT run and a run pinned to one CPU write byte-identical CSVs."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    child = SPLIT_CHILD.format(args=SPLIT_RUN)
+    procs = {side: subprocess.Popen([sys.executable, "-c", child, str(tmp_path / f"{side}.csv"),
+                                     side], stdout=subprocess.PIPE, text=True, env=env)
+             for side in ("pinned", "free")}
+    outs = {side: proc.communicate(timeout=300)[0].split() for side, proc in procs.items()}
+    assert [proc.returncode for proc in procs.values()] == [0, 0]
+    # one thread after import on both sides; the helper started only where two CPUs were
+    assert outs["pinned"][-2:] == ["1", "False"] and outs["free"][-2:] == ["1", "True"]
+    pinned, free = ((tmp_path / f"{side}.csv").read_bytes() for side in ("pinned", "free"))
+    assert pinned == free
+
+
 def test_criterion_12_presets_match_the_oracle_reference(variant_results, fig4_results):
     # each amplitude is within KRYLOV_TOL |beta(0)| of exact, so each population of a
     # normalised start is within 2 KRYLOV_TOL + KRYLOV_TOL^2

@@ -4,6 +4,10 @@ array, the routes that need the dense form read it once per call, and a CLI run 
 keeps OpenBLAS on one thread."""
 
 import math
+import multiprocessing
+import os
+import sys
+import threading
 
 import pytest
 
@@ -220,3 +224,226 @@ def test_a_run_on_the_fft_operator_keeps_blas_on_one_thread(tmp_path, monkeypatc
     assert seen == {threads or before}
     assert blas_count() == before
 
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def _split_and_unsplit(op, x):
+    """``op @ x`` unsplit and with the split forced by a zero cell threshold and a faster
+    split timing, and how many stage halves the split one gave the helper."""
+    halves = []
+
+    class Counted:
+        def __init__(self, helper):
+            self.helper = helper
+
+        def submit(self, *args):
+            halves.append(args)
+            return self.helper.submit(*args)
+
+    def counted(_helper=kernels._fft_helper):
+        return Counted(_helper())
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "FFT_SPLIT_CELLS", math.inf)
+        unsplit = op @ x
+        assert not halves
+        mp.setattr(kernels, "FFT_SPLIT_CELLS", 0)
+        mp.setattr(kernels, "_fft_helper", counted)
+        op._timing[:] = [math.inf, 0.0, 1]  # the split timed faster, and no probe due
+        split = op @ x
+    return unsplit, split, len(halves)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ensemble=lattice_ensembles(), kernel=st.sampled_from(["sine", "exp"]),
+       seed=st.integers(0, 2**32 - 1), cols=st.sampled_from([(), (1,), (3,)]))
+def test_a_split_product_is_the_unsplit_product_bit_for_bit(ensemble, kernel, seed, cols):
+    op = LatticeGenerator(ensemble, kernel, 0.8)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(ensemble.n, *cols)) + 1j * rng.normal(size=(ensemble.n, *cols))
+    unsplit, split, halves = _split_and_unsplit(op, x)
+    assert np.array_equal(_bits(split), _bits(unsplit))
+    (_, P1, P2), (L0, _, _) = op._khat.shape, op._box
+    assert halves == (3 if min(L0, P1 * P2) > 1 else 0)  # one half per stage, or no split
+
+
+def _slab(shape, axes):
+    """A full rectangle of lattice points on two of the three axes."""
+    shape, axes = tuple(shape), list(axes)
+    cells = np.zeros((math.prod(shape), 3), dtype=int)
+    plane = np.meshgrid(*map(np.arange, shape), indexing="ij")
+    cells[:, axes] = np.stack(plane, -1).reshape(-1, 2)
+    return Ensemble(positions=0.7 * cells, k0_vec=np.array([0.3, 0.5, 0.2]), lattice=cells,
+                    spacing=0.7)
+
+
+def _big_sphere():
+    return build_sphere_lattice(9.05 * 0.75 * LAMBDA0, 0.75 * LAMBDA0, target_count=3000)
+
+
+@pytest.mark.parametrize("build, splits", [
+    (lambda: build_line(1000, 0.37), False),  # P1 = P2 = 1: stage 2 is one column
+    (lambda: build_line(1), False),
+    (lambda: _slab((20, 15), [0, 1]), True),  # P2 = 1: stage 2 splits its P1 columns
+    (lambda: _slab((20, 15), [0, 2]), True),  # P1 = 1: stage 2 splits its P2 columns
+    (lambda: _slab((20, 15), [1, 2]), False),  # L0 = 1: stages 1 and 3 are one slab
+    (_big_sphere, True),
+], ids=["line", "one-atom", "slab-xy", "slab-xz", "slab-yz", "big-sphere"])
+@pytest.mark.parametrize("kernel", ["sine", "exp"])
+def test_split_products_of_lines_slabs_and_one_atom(build, splits, kernel):
+    ensemble = build()
+    op = LatticeGenerator(ensemble, kernel, 1.3)
+    rng = np.random.default_rng(7)
+    for shape in [(ensemble.n,), (ensemble.n, 4)]:
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        unsplit, split, halves = _split_and_unsplit(op, x)
+        assert np.array_equal(_bits(split), _bits(unsplit))
+        assert halves == 3 * splits
+
+
+def test_grids_below_the_threshold_and_one_cpu_run_unsplit(monkeypatch):
+    fig4 = build_sphere_lattice(4.6875 * LAMBDA0, 0.75 * LAMBDA0, target_count=1000)
+    big = _big_sphere()
+    fig4_op, big_op = LatticeGenerator(fig4, "exp"), LatticeGenerator(big, "exp")
+    assert fig4_op._khat.size < kernels.FFT_SPLIT_CELLS <= big_op._khat.size
+    x = np.random.default_rng(3).normal(size=big.n) + 0j
+    split = big_op @ x
+    monkeypatch.setattr(kernels, "_helper", None)  # this process's helper, if any, put aside
+    threads = threading.active_count()
+    fig4_op @ x[:fig4.n]
+    assert kernels._helper is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert kernels._usable_cpus() == 1
+    assert np.array_equal(_bits(big_op @ x), _bits(split))
+    assert kernels._helper is None and threading.active_count() == threads
+
+
+def test_a_generator_splits_the_way_it_timed_faster(monkeypatch):
+    monkeypatch.setattr(kernels, "FFT_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    e = build_sphere_lattice(4.0, 1.0)
+    op, x = LatticeGenerator(e, "exp"), np.ones(e.n, dtype=complex)
+    expected = _bits(op @ x)
+    asked = []
+
+    def counted(_helper=kernels._fft_helper):
+        asked.append(1)
+        return _helper()
+
+    monkeypatch.setattr(kernels, "_fft_helper", counted)
+
+    def splits(timing=None):
+        if timing is not None:
+            op._timing[:] = timing
+        count, before = op._timing[2], len(asked)
+        assert np.array_equal(_bits(op @ x), expected)
+        assert op._timing[2] == count + 1
+        return len(asked) > before
+
+    op._timing[:] = LatticeGenerator(e, "exp")._timing  # untimed: split, then unsplit
+    assert splits() and op._timing[0] == 0.0 < op._timing[1]
+    assert not splits() and op._timing[0] > 0.0
+    probe = kernels.FFT_SPLIT_PROBE
+    assert splits([2.0, 1.0, 3]) and not splits([1.0, 2.0, 3])
+    assert not splits([2.0, 1.0, probe]) and splits([1.0, 2.0, 2 * probe])
+
+
+def test_repeated_runs_start_at_most_one_helper_thread(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "FFT_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["run", *FIG4_GEOMETRY, "--kernel", "exp", "--t-max", "0.5", "--output"]
+    assert main([*argv, str(tmp_path / "first.csv")]) == 0
+    threads = threading.active_count()
+    assert kernels._helper is not None
+    for i in range(3):
+        assert main([*argv, str(tmp_path / f"again{i}.csv")]) == 0
+        assert threading.active_count() == threads
+    helpers = [t for t in threading.enumerate() if t.name.startswith("tdsim-fft")]
+    assert len(helpers) == 1
+    first = (tmp_path / "first.csv").read_bytes()
+    assert all((tmp_path / f"again{i}.csv").read_bytes() == first for i in range(3))
+
+
+def test_concurrent_callers_share_the_helper(monkeypatch):
+    monkeypatch.setattr(kernels, "FFT_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    e = build_sphere_lattice(4.0, 1.0)
+    ops = [LatticeGenerator(e, kernel) for kernel in ("sine", "exp")]
+    rng = np.random.default_rng(11)
+    xs = [rng.normal(size=e.n) + 1j * rng.normal(size=e.n) for _ in range(4)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "FFT_SPLIT_CELLS", math.inf)
+        expected = [[_bits(op @ x) for x in xs] for op in ops]
+    wrong, done = [], []
+
+    def caller(k):
+        op, x = ops[k % 2], xs[k % 4]
+        for _ in range(20):
+            if not np.array_equal(_bits(op @ x), expected[k % 2][k % 4]):
+                wrong.append(k)
+        done.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert sorted(done) == list(range(8)) and not wrong
+
+
+def _per_cell_grid(grid, scale, kernel, gamma):
+    """The kernel grid evaluated on each cell, as before the distance table."""
+    d0, d1, d2 = (np.minimum(np.arange(P), P - np.arange(P)) ** 2 for P in grid)
+    x = np.sqrt(d0[:, None, None] + d1[:, None] + d2, dtype=float)
+    x *= scale
+    cells = kernels._fill_kernel(np.zeros(grid, dtype=complex), x, kernel, gamma)
+    cells[0, 0, 0] = -gamma
+    return cells
+
+
+@pytest.mark.parametrize("kernel", ["sine", "exp"])
+@pytest.mark.parametrize("build, table", [
+    (_big_sphere, True),
+    (lambda: build_line(1000, 0.37), True),
+    (lambda: build_line(50_001, 0.37), True),  # keyed by |offset|: 50 626 entries, not 2.5e9
+    (lambda: _slab((2, 3000), [0, 1]), False),  # 1 + 1 + 3000^2 entries: past its grid
+], ids=["big-sphere", "line-1000", "line-50001", "long-slab"])
+def test_the_table_built_kernel_grid_is_the_per_cell_fill(build, table, kernel):
+    ensemble = build()
+    grid, scale = kernels._padded_grid(ensemble.lattice), ensemble.k0 * ensemble.spacing
+    _, values = kernels._kernel_table([P // 2 for P in grid], scale, kernel, 0.7, complex,
+                                      math.prod(grid))
+    assert (values is not None) == table
+    got = kernels._kernel_grid(grid, scale, kernel, 0.7)
+    assert np.array_equal(_bits(got), _bits(_per_cell_grid(grid, scale, kernel, 0.7)))
+
+
+def _split_product_exits(op, x, expected):
+    op._timing[:] = [math.inf, 0.0, 1]  # split again
+    assert np.array_equal(_bits(op @ x), expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_a_forked_child_starts_its_own_helper(monkeypatch):
+    monkeypatch.setattr(kernels, "FFT_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    e = build_sphere_lattice(3.0, 1.0)
+    op, x = LatticeGenerator(e, "exp"), np.ones(e.n, dtype=complex)
+    expected = _bits(op @ x)  # the parent's helper is running now
+    child = multiprocessing.get_context("fork").Process(target=_split_product_exits,
+                                                        args=(op, x, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():  # waiting on the parent's helper, which the fork did not copy
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
