@@ -6,8 +6,8 @@ A run whose hot loop is numpy FFT code (the matvec of
 helper thread) with small BLAS products in between leaves a worker spinning through every
 matvec, on a core the FFT could use, and where cores are shared its time swings with the
 load next to it.  On a 2-vCPU AMD EPYC VM a 3000-atom exp run, its FFT split over two
-threads, took 10.6 ms per call with one BLAS thread and 14.7 ms with two on idle cores;
-next to a busy loop on one core it took 15.4 and 24.4 ms.
+threads, took 11.0-11.4 ms per call with one BLAS thread and 15.2-15.5 ms with two on idle
+cores; next to a busy loop on one core it took 16.0-16.4 and 28-41 ms.
 
 Where numpy's BLAS is not OpenBLAS, or its library is not found, :func:`blas_threads`
 does nothing.

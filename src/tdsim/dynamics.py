@@ -275,7 +275,8 @@ def _stepped_rows(H, scale, steps, residual, tol) -> np.ndarray:
     """Rows y_k = scale e^{tau_k H} e_1 at the times of ``steps`` ((rows, step) runs), up to
     the first whose Saad estimate ``residual`` |y_{k,m}| exceeds ``tol``.  Each run takes one
     :func:`_expm` and doubles its rows, writing Y F^k after Y, in log2(rows) products into
-    one array, of which the rows kept are a slice."""
+    one array; rows cut short by a failing row are copied out of it, so that a kept block
+    does not hold the unwritten rows alive."""
     Y = np.empty((1 + sum(n for n, _ in steps), len(H)), dtype=complex)
     Y[0] = np.eye(1, len(H)) * scale
     end = 0  # the last row written
@@ -287,7 +288,7 @@ def _stepped_rows(H, scale, steps, residual, tol) -> np.ndarray:
             new = np.matmul(Y[start:start + count], F, out=Y[end + 1:end + 1 + count])
             fails = residual * np.abs(new[:, -1]) > tol
             if fails.any():
-                return Y[1:end + 1 + fails.argmax()]
+                return Y[1:end + 1 + fails.argmax()].copy()
             end += count
             if end - start < n:
                 F = F @ F

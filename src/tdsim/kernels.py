@@ -36,13 +36,12 @@ picked by the ensemble:
   L; ``matrix`` assembles the dense form (:func:`fock_matrix`, the first two forms) on each
   access.  The kernel grid is gathered from the same kind of distance table.  A product is
   three stages of independent FFT lines.  On a grid of ``FFT_SPLIT_CELLS`` or more cells,
-  with two usable CPUs, each stage can run half its lines on one helper thread (numpy.fft
-  releases the GIL), with the same bits as on one thread; the generator times its products
-  and splits them while that is the faster way.  On a 2-vCPU AMD EPYC VM with one
-  BLAS thread, a matvec took, dense against FFT: 0.15 against 0.05 ms on a 1000-atom line,
-  0.16 against 0.14 ms on fig4's sphere (a 25^3 grid, not split), 3.3 against 0.28 ms on a
-  3000-atom sphere (36^3; 0.39 ms unsplit), but 0.03 against 0.07 ms on a 400-atom sphere.
-  A 10 000-atom sphere (54^3) took 0.77 ms split and 1.29 ms unsplit.
+  with two usable CPUs, each stage runs half its lines on one helper thread (numpy.fft
+  releases the GIL), with the same bits as on one thread.  On a 2-vCPU AMD EPYC VM with one
+  BLAS thread, a matvec took, dense against FFT: 0.15 against 0.06 ms on a 1000-atom line,
+  0.16 against 0.21 ms on fig4's sphere (a 25^3 grid, not split), 3.3 against 0.29 ms on a
+  3000-atom sphere (36^3; 0.60 ms unsplit), but 0.03 against 0.08 ms on a 400-atom sphere.
+  A 10 000-atom sphere (54^3) took 0.81 ms split and 2.05 ms unsplit.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import math
 import os
 import threading
 from dataclasses import InitVar, dataclass, field
-from time import perf_counter
 
 import numpy as np
 
@@ -62,12 +60,10 @@ KERNELS = ("sine", "exp")
 # keys per row block on the lattice path (two int64 blocks of scratch, cache-sized)
 BLOCK_KEYS = 1 << 16
 FFT_MIN_N = 1000  # lattices from this N on get the FFT operator (a dense matvec wins below)
-# from this many padded grid cells on, an FFT product may split over two threads; per product
-# on a 2-vCPU AMD EPYC VM, 25^3 and 27^3 grids gained nothing, a 27 x 27 x 30 grid went from
-# 0.21 to 0.17 ms and a 36^3 one from 0.39 to 0.28 ms
+# from this many padded grid cells on, an FFT product splits over two threads; per product,
+# split products alternating with unsplit ones on a 2-vCPU AMD EPYC VM, a 25^3 grid took
+# 5-8% longer split, a 30^3 one 0.64-0.70 times as long and a 54^3 one 0.47 times
 FFT_SPLIT_CELLS = 20_000
-# a generator that can split runs every FFT_SPLIT_PROBE-th product the way it timed slower
-FFT_SPLIT_PROBE = 32
 
 __all__ = [
     "GeneratorMatrix",
@@ -284,7 +280,6 @@ class LatticeGenerator:
     _khat: np.ndarray = field(init=False, repr=False)  # the kernel grid's transform
     _box: tuple = field(init=False, repr=False)  # (L0, L1, P2): padded on the last axis
     _cells: np.ndarray = field(init=False, repr=False)  # each atom's flat index in the box
-    _timing: list = field(init=False, repr=False)  # latest unsplit and split seconds, count
 
     def __post_init__(self):
         _check_kernel(self.kernel, self.gamma)
@@ -303,7 +298,6 @@ class LatticeGenerator:
         object.__setattr__(self, "_khat", khat)
         object.__setattr__(self, "_box", box)
         object.__setattr__(self, "_cells", cells)
-        object.__setattr__(self, "_timing", [0.0, 0.0, 1])
 
     @property
     def n(self) -> int:
@@ -315,38 +309,29 @@ class LatticeGenerator:
 
     def __matmul__(self, x):
         """``M @ x`` for a vector or an (N, T) block of columns: three stages of independent
-        FFT lines, each split over two threads where that pays (see the module docstring)."""
+        FFT lines, each split over two threads on large grids (see the module docstring)."""
         (P0, P1, P2), (L0, L1, _) = self._khat.shape, self._box
         cols = np.shape(x)[1:]  # () for a vector, (T,) for a block
         box = np.zeros(self._box + cols, dtype=complex)
         box.reshape(-1, *cols)[self._cells] = x
         y = np.empty((L0, P1, P2) + cols, dtype=complex)
         columns = y.reshape(L0, P1 * P2, *cols)
-        z = np.empty((P0, P1 * P2) + cols, dtype=complex)
         khat = self._khat.reshape(P0, P1 * P2, *(1,) * len(cols))
 
         def forward(s):  # per axis-0 slab: axis 2 on its L1 lines, then axis 1 out to P1
-            np.fft.fft(np.fft.fft(box[s], axis=2, out=box[s]), n=P1, axis=1, out=y[s])
+            y[s] = np.fft.fft(np.fft.fft(box[s], axis=2), n=P1, axis=1)
 
         def convolve(s):  # per (axis 1, axis 2) column: axis 0 out to P0 and back to L0
-            np.fft.fft(columns[:, s], n=P0, axis=0, out=z[:, s])
-            z[:, s] *= khat[:, s]
-            columns[:, s] = np.fft.ifft(z[:, s], axis=0, out=z[:, s])[:L0]
+            z = np.fft.fft(columns[:, s], n=P0, axis=0)
+            z *= khat[:, s]
+            columns[:, s] = np.fft.ifft(z, axis=0)[:L0]
 
         def back(s):  # per axis-0 slab: axis 1 back to L1, then axis 2, into the box
-            np.fft.ifft(np.fft.ifft(y[s], axis=1, out=y[s])[:, :L1], axis=2, out=box[s])
+            box[s] = np.fft.ifft(np.fft.ifft(y[s], axis=1)[:, :L1], axis=2)
 
-        can_split = (min(L0, P1 * P2) > 1 and self._khat.size >= FFT_SPLIT_CELLS
-                     and _usable_cpus() > 1)
-        # a split pays only while both threads get a CPU of their own that shares data with
-        # the other's cheaply (on a shared 2-vCPU VM a 36^3 product took 0.28 ms split in some
-        # periods, 0.44-0.69 ms in others, 0.39 ms unsplit), so each product runs the way
-        # whose latest product was faster (an untimed way first), and every
-        # FFT_SPLIT_PROBE-th product the other way
-        unsplit_s, split_s, count = self._timing
-        split = can_split and (split_s <= unsplit_s) != (count % FFT_SPLIT_PROBE == 0)
-        helper = _fft_helper() if split else None  # started before the clock
-        start = perf_counter()
+        split = (min(L0, P1 * P2) > 1 and self._khat.size >= FFT_SPLIT_CELLS
+                 and _usable_cpus() > 1)
+        helper = _fft_helper() if split else None
         for stage, lines in ((forward, L0), (convolve, P1 * P2), (back, L0)):
             if split:  # the helper takes the second half of the lines, joined before the next
                 half = helper.submit(stage, slice(lines // 2, None))
@@ -356,9 +341,6 @@ class LatticeGenerator:
                     half.result()
             else:
                 stage(slice(None))
-        if can_split:  # concurrent callers may lose an update: it only moves a probe
-            self._timing[split] = perf_counter() - start
-            self._timing[2] += 1
         return box.reshape(-1, *cols)[self._cells]
 
 

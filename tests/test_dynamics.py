@@ -302,6 +302,15 @@ class TestKrylov:
                   if not np.isclose(s, gaps, rtol=0, atol=1e-12).any()]
         assert bool(halved) == (cap == 8)
 
+    def test_restarted_blocks_hold_only_their_rows(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "KRYLOV_MAX_DIM", 8)
+        e = build_sphere_lattice(3.0, 1.0, target_count=40)
+        traj = propagate(build_generator(e, "exp"), plus_state(e), 0.01, 20.0, 1, "krylov")
+        Ys = [Y for Y, V in traj.blocks if V is not None]
+        assert len(traj.blocks) > 10 and len(Ys) > 1
+        # a basis that fails early keeps its rows, not the array its remaining rows had
+        assert all(Y.base is None or Y.base.shape[0] <= len(Y) + 1 for Y in Ys)
+
     def test_no_eigenproblem_and_no_condition_number(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the Krylov route solved an eigenproblem")

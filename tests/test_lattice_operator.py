@@ -231,8 +231,8 @@ def _bits(array):
 
 
 def _split_and_unsplit(op, x):
-    """``op @ x`` unsplit and with the split forced by a zero cell threshold and a faster
-    split timing, and how many stage halves the split one gave the helper."""
+    """``op @ x`` unsplit and with the split forced by a zero cell threshold and two usable
+    CPUs, and how many stage halves the split one gave the helper."""
     halves = []
 
     class Counted:
@@ -251,8 +251,8 @@ def _split_and_unsplit(op, x):
         unsplit = op @ x
         assert not halves
         mp.setattr(kernels, "FFT_SPLIT_CELLS", 0)
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         mp.setattr(kernels, "_fft_helper", counted)
-        op._timing[:] = [math.inf, 0.0, 1]  # the split timed faster, and no probe due
         split = op @ x
     return unsplit, split, len(halves)
 
@@ -319,36 +319,6 @@ def test_grids_below_the_threshold_and_one_cpu_run_unsplit(monkeypatch):
     assert kernels._usable_cpus() == 1
     assert np.array_equal(_bits(big_op @ x), _bits(split))
     assert kernels._helper is None and threading.active_count() == threads
-
-
-def test_a_generator_splits_the_way_it_timed_faster(monkeypatch):
-    monkeypatch.setattr(kernels, "FFT_SPLIT_CELLS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    e = build_sphere_lattice(4.0, 1.0)
-    op, x = LatticeGenerator(e, "exp"), np.ones(e.n, dtype=complex)
-    expected = _bits(op @ x)
-    asked = []
-
-    def counted(_helper=kernels._fft_helper):
-        asked.append(1)
-        return _helper()
-
-    monkeypatch.setattr(kernels, "_fft_helper", counted)
-
-    def splits(timing=None):
-        if timing is not None:
-            op._timing[:] = timing
-        count, before = op._timing[2], len(asked)
-        assert np.array_equal(_bits(op @ x), expected)
-        assert op._timing[2] == count + 1
-        return len(asked) > before
-
-    op._timing[:] = LatticeGenerator(e, "exp")._timing  # untimed: split, then unsplit
-    assert splits() and op._timing[0] == 0.0 < op._timing[1]
-    assert not splits() and op._timing[0] > 0.0
-    probe = kernels.FFT_SPLIT_PROBE
-    assert splits([2.0, 1.0, 3]) and not splits([1.0, 2.0, 3])
-    assert not splits([2.0, 1.0, probe]) and splits([1.0, 2.0, 2 * probe])
 
 
 def test_repeated_runs_start_at_most_one_helper_thread(tmp_path, monkeypatch):
@@ -428,7 +398,6 @@ def test_the_table_built_kernel_grid_is_the_per_cell_fill(build, table, kernel):
 
 
 def _split_product_exits(op, x, expected):
-    op._timing[:] = [math.inf, 0.0, 1]  # split again
     assert np.array_equal(_bits(op @ x), expected)
 
 
